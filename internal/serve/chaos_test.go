@@ -2,6 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -138,5 +141,67 @@ func TestChaosCombinedDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(c1, c2) {
 		t.Error("double-run chaos completions differ")
+	}
+}
+
+// update regenerates the committed golden trace:
+//
+//	go test ./internal/serve/ -run TestGoldenTraceChaos -update
+var update = flag.Bool("update", false, "rewrite golden trace files")
+
+// TestGoldenTraceChaos pins pepd's virtual clock byte for byte: a short
+// traced run with one block rotation and one rank crash mid-stream, so the
+// committed export covers boot, quantum scans, batch checkpoints, the live
+// migration, the replacement machine's re-boot, and batch restores.
+// Regenerate with -update after an intentional change.
+func TestGoldenTraceChaos(t *testing.T) {
+	db, pool := testWorkload(t, 40, 8)
+	arrivals := Schedule(LoadSpec{Seed: 7, HorizonSec: 0.5, Loads: []TenantLoad{
+		{Tenant: TenantConfig{Name: "acme"}, Profile: ProfileSteady, RatePerSec: 30},
+	}}, pool)
+	cfg := steadyCfg(db)
+	cfg.Trace = true
+	cfg.StepsPerQuantum = 1
+	cfg.Membership = &cluster.MembershipPlan{Universe: 5, Initial: 4, Events: []cluster.MemberEvent{
+		{TimeSec: 0.15, Join: []int{4}, Leave: []int{0}},
+	}}
+	cfg.Faults = []*cluster.FaultPlan{{CrashAtCall: map[int]int{1: 6}}}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejs, err := s.Play(arrivals)
+	if err != nil {
+		t.Fatalf("Play: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	checkService(t, "golden", s, rejs, offlineHits(t, db, pool, testOpt()))
+	st := s.Metrics()
+	if st.Crashes != 1 || st.Rotations != 1 {
+		t.Fatalf("got %d crashes and %d rotations, want 1 and 1", st.Crashes, st.Rotations)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteChrome(&buf, s.Trace()); err != nil {
+		t.Fatal(err)
+	}
+	got := buf.Bytes()
+
+	golden := filepath.Join("testdata", "pepd_chaos.trace.json")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", golden, len(got))
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with: go test ./internal/serve/ -run TestGoldenTraceChaos -update)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("trace differs from %s (%d vs %d bytes); if the change is intentional, regenerate with -update",
+			golden, len(got), len(want))
 	}
 }
