@@ -53,6 +53,8 @@ race:
 # chaos sweeps the fault-injection, checkpoint/restart, and recovery test
 # schedules under the race detector: every injected crash, drop, delay, and
 # straggler plan must recover to bit-identical hits without hanging.
+# (TestResilient* and the other *Resilient* tests drive RunElastic over a
+# static membership; the elastic timelines run in chaos-elastic.)
 chaos: chaos-serve
 	$(GO) test -race -count=1 -run 'Fault|Crash|Detection|Dropped|Straggler|InjectedDelays|Mailbox|Reset|RunAfterAbort|Wait|Resilient|Recovery' \
 		./internal/cluster/ ./internal/core/
@@ -90,9 +92,11 @@ fuzz-short:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # cover enforces the checked-in statement-coverage floor
-# (.coverage-threshold) over the simulation and observability packages.
+# (.coverage-threshold) over the simulation, observability, recovery, and
+# serving packages.
 cover:
-	$(GO) test -coverprofile=coverage.out ./internal/cluster/ ./internal/core/ ./internal/trace/
+	$(GO) test -coverprofile=coverage.out ./internal/cluster/ ./internal/core/ ./internal/trace/ \
+		./internal/serve/ ./internal/placement/ ./internal/ckpt/
 	@total=$$($(GO) tool cover -func=coverage.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
 	min=$$(cat .coverage-threshold); \
 	echo "coverage: $$total% of statements (floor: $$min%)"; \
@@ -106,7 +110,7 @@ bench:
 # quiet machine; compare against git history before committing.
 bench-json:
 	{ $(GO) test -bench 'BenchmarkScorers' -benchmem -run '^$$' . ; \
-	  $(GO) test -bench 'BenchmarkScanKernel|BenchmarkEngineHostTime|BenchmarkResilient' -run '^$$' ./internal/core/ ; \
+	  $(GO) test -bench 'BenchmarkScanKernel|BenchmarkEngineHostTime|BenchmarkElastic' -run '^$$' ./internal/core/ ; \
 	  $(GO) test -bench 'BenchmarkMachineScale' -run '^$$' ./internal/cluster/ ; } \
 	  | $(GO) run ./cmd/benchjson -o BENCH_kernel.json
 

@@ -1,5 +1,6 @@
 // Package ckpt implements the checkpoint codec and stable store backing the
-// resilient transport loop (core.RunResilient): a query group's recovery
+// checkpointed epoch engine (core.RunElastic) and the serving backend
+// (core.Backend): a query group's or batch's recovery
 // state — the block-step cursor s, the candidate counter, and every query's
 // top-τ hit list — serialized to a deterministic, self-describing binary
 // blob.

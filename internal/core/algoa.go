@@ -87,10 +87,7 @@ func loadPhaseOpts(r *cluster.Rank, in Input, opt Options, cache *indexCache, bl
 	// Query loading: rank i receives roughly m/p queries.
 	l.qlo, l.qhi = share(len(in.Queries), r.Size(), r.ID())
 	mySpecs := in.Queries[l.qlo:l.qhi]
-	var qbytes int
-	for _, s := range mySpecs {
-		qbytes += 64 + 12*len(s.Peaks)
-	}
+	qbytes := queryBytes(mySpecs)
 	r.Compute(cost.IOSec(qbytes))
 	r.NoteAlloc(int64(qbytes))
 	if prepare {

@@ -1,21 +1,23 @@
 // The serving backend: the resident-cluster substrate of the streaming
-// search service (internal/serve).
+// search service (internal/serve), built from the same primitives as the
+// checkpointed epoch engine (sweep.go).
 //
 // A Backend holds a database partitioned ONCE into p0 record-aligned blocks
 // and keeps them resident on a long-lived virtual machine: Boot loads and
 // exposes every member's owned blocks (placement.RoundRobin initially, the
 // minimal-move incremental plan thereafter), Rotate migrates block windows
-// between members at a membership change (generation-versioned names, the
-// elastic engine's discipline), and ScanBatch advances one in-flight query
-// batch by a bounded number of block steps on its owner rank. Between Runs
-// the machine idles — windows persist, per-rank clocks accumulate — which is
-// what makes the service "always on": every dispatch starts with
-// Rank.IdleUntil to the batch's dispatch instant, so service-time gaps are
-// explicit intervals on the virtual timeline.
+// between members at a membership change with RunElastic's block-migration
+// step, and ScanBatch advances one in-flight query batch by a bounded number
+// of block steps on its owner rank. Between Runs the machine idles —
+// windows persist, per-rank clocks accumulate — which is what makes the
+// service "always on": every dispatch starts with Rank.IdleUntil to the
+// batch's dispatch instant, so service-time gaps are explicit intervals on
+// the virtual timeline.
 //
-// Batch state follows the resilient engine's recovery shape: after each
-// quantum the batch's top-τ lists, cursor, and candidate count are
-// checkpointed (internal/ckpt) to the backend's stable store, and
+// A batch is a sweep, like one of RunElastic's query groups: batch b scans
+// block (b+s) mod p0 at step s, so concurrent batches spread their remote
+// fetches across owners. After each quantum its top-τ lists, cursor, and
+// candidate count are checkpointed to the backend's stable store, and
 // Invalidate re-stages a batch from its latest checkpoint after a crash,
 // an owner loss, or an owner reassignment — the batch re-offers exactly the
 // post-cursor blocks against lists that reflect exactly the pre-cursor
@@ -33,11 +35,8 @@ import (
 
 	"pepscale/internal/ckpt"
 	"pepscale/internal/cluster"
-	"pepscale/internal/fasta"
 	"pepscale/internal/placement"
-	"pepscale/internal/score"
 	"pepscale/internal/spectrum"
-	"pepscale/internal/topk"
 )
 
 // Backend is the serving layer's resident-cluster engine. All methods are
@@ -45,16 +44,11 @@ import (
 // the rank programs they launch follow the per-rank ownership discipline of
 // the batch engines.
 type Backend struct {
-	opt    Options
-	db     []byte
-	p0     int
-	ranges []fasta.Range
-	bases  []int32
-	cache  *indexCache
-	store  *ckpt.Store
-	plan   *placement.Plan
-	scr    placement.Scratch
-	gen    []int32
+	layout
+	opt   Options
+	p0    int
+	pt    *partition
+	store *ckpt.Store
 	// migBytes[r] counts block-migration bytes fetched by rank r across
 	// all rotations (each rank writes only its own slot during a Run).
 	migBytes []int64
@@ -71,19 +65,16 @@ func NewBackend(db []byte, opt Options, blocks int) (*Backend, error) {
 		return nil, fmt.Errorf("core: backend needs at least 1 block, got %d", blocks)
 	}
 	bk := &Backend{
+		layout: layout{gen: make([]int32, blocks), bases: make([]int32, blocks)},
 		opt:    opt,
-		db:     db,
 		p0:     blocks,
-		ranges: fasta.Ranges(db, blocks),
-		cache:  newIndexCache(),
+		pt:     newPartition(db, blocks),
 		store:  ckpt.NewStore(),
-		gen:    make([]int32, blocks),
-		bases:  make([]int32, blocks),
 	}
 	var acc int32
 	for b := 0; b < blocks; b++ {
-		rg := bk.ranges[b]
-		recs, err := bk.cache.recsFor(blockKey(b, rg.End-rg.Start), db[rg.Start:rg.End])
+		raw := bk.pt.raw(b)
+		recs, err := bk.pt.cache.recsFor(blockKey(b, len(raw)), raw)
 		if err != nil {
 			return nil, fmt.Errorf("core: backend block %d: %w", b, err)
 		}
@@ -152,19 +143,9 @@ func (bk *Backend) Boot(mach *cluster.Machine, members []int) (*cluster.RunRepor
 		if len(mine) == 0 {
 			return nil
 		}
-		cost := r.Cost()
 		r.SetPhase("load")
-		for _, b := range mine {
-			rg := bk.ranges[b]
-			raw := bk.db[rg.Start:rg.End]
-			r.Compute(cost.IOSec(len(raw)))
-			r.NoteAlloc(int64(len(raw)))
-			if _, err := bk.cache.recsFor(blockKey(b, len(raw)), raw); err != nil {
-				return fmt.Errorf("rank %d: load block %d: %w", id, b, err)
-			}
-			r.Expose(blockWinName(b, bk.gen[b]), raw)
-		}
-		return nil
+		_, err := bk.pt.load(r, mine, bk.gen)
+		return err
 	})
 	return rep, nil
 }
@@ -182,47 +163,25 @@ func (bk *Backend) Rotate(mach *cluster.Machine, newMembers []int) (*cluster.Run
 	if equalInts(bk.plan.Members, newMembers) {
 		return nil, nil, nil
 	}
-	next, err := bk.scr.Next(bk.plan, newMembers)
+	next, migs, err := bk.advance(newMembers)
 	if err != nil {
 		return nil, nil, err
 	}
-	migs, err := placement.Rebalance(bk.plan, next)
-	if err != nil {
-		return nil, nil, err
-	}
-	type blockMig struct {
-		b, from, to      int
-		oldName, newName string
-	}
-	var bmigs []blockMig
+	// Rebalance moves each block at most once, so a migrating block's
+	// pre-move generation is its bumped one minus one.
 	for _, mg := range migs {
-		if mg.Kind != placement.MigrateBlock {
-			continue
+		if mg.Kind == placement.MigrateBlock {
+			bk.gen[mg.ID]++
 		}
-		old := blockWinName(mg.ID, bk.gen[mg.ID])
-		bk.gen[mg.ID]++
-		bmigs = append(bmigs, blockMig{mg.ID, mg.From, mg.To, old, blockWinName(mg.ID, bk.gen[mg.ID])})
 	}
 	bk.plan = next
 	rep := mach.RunWithReport(func(r *cluster.Rank) error {
-		id := r.ID()
-		for _, mg := range bmigs {
-			switch id {
-			case mg.to:
-				r.SetPhase("migrate")
-				data, err := r.Get(mg.from, mg.oldName).Wait()
-				if err != nil {
-					return err
-				}
-				r.NoteAlloc(int64(len(data)))
-				if _, err := bk.cache.recsFor(blockKey(mg.b, len(data)), data); err != nil {
-					return fmt.Errorf("rank %d: migrate block %d: %w", id, mg.b, err)
-				}
-				r.Expose(mg.newName, data)
-				bk.migBytes[id] += int64(len(data))
-			case mg.from:
-				r.SetPhase("migrate")
-				r.NoteFree(int64(bk.ranges[mg.b].End - bk.ranges[mg.b].Start))
+		for _, mg := range migs {
+			if mg.Kind != placement.MigrateBlock {
+				continue
+			}
+			if err := bk.pt.moveBlock(r, mg, bk.gen[mg.ID]-1, bk.migBytes); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -234,15 +193,10 @@ func (bk *Backend) Rotate(mach *cluster.Machine, newMembers []int) (*cluster.Run
 // scheduling and the checkpoint store's unit of recovery. The host owns it
 // between Runs; during a ScanBatch Run only the owner rank touches it.
 type BatchState struct {
-	id    int32
-	owner int
-	specs []*spectrum.Spectrum
-
-	qs         []*score.Query
-	lists      []*topk.List
-	cursor     int
-	candidates int64
-	prepared   bool
+	sweep
+	owner    int
+	specs    []*spectrum.Spectrum
+	prepared bool
 	// restoreBlob stages a checkpoint decode into the next prepare (set by
 	// Invalidate; the decode and its I/O charge happen on the owner rank).
 	restoreBlob []byte
@@ -254,7 +208,7 @@ type BatchState struct {
 
 // NewBatch wraps a closed batch of query spectra for dispatch as batch id.
 func NewBatch(id int32, specs []*spectrum.Spectrum) *BatchState {
-	return &BatchState{id: id, specs: specs}
+	return &BatchState{sweep: sweep{id: id, unit: "batch"}, specs: specs}
 }
 
 // ID returns the batch identifier (the checkpoint-store key).
@@ -311,65 +265,35 @@ func (bk *Backend) ScanBatch(mach *cluster.Machine, bs *BatchState, dispatchAt f
 	if steps < 1 {
 		steps = bk.p0
 	}
-	plan := bk.plan
 	rep := mach.RunWithReport(func(r *cluster.Rank) error {
 		if r.ID() != bs.owner {
 			return nil
 		}
-		cost := r.Cost()
 		r.IdleUntil(dispatchAt)
 		if !bs.prepared {
-			if err := bk.prepare(r, bs); err != nil {
-				return err
+			r.SetPhase("ingest")
+			bs.prepare(r, bs.specs, bk.opt)
+			if bs.restoreBlob != nil {
+				if err := bs.restore(r, bs.restoreBlob, bk.p0); err != nil {
+					return err
+				}
+				bs.restoreBlob = nil
 			}
+			bs.prepared = true
 		}
-		sc, err := score.New(bk.opt.ScorerName, bk.opt.Score)
+		shim, err := newShim(bk.opt, bk.pt)
 		if err != nil {
 			return err
 		}
-		shim := &loaded{sc: sc, cache: bk.cache}
 		r.SetPhase("scan")
-		// The batch's block order is staggered by its id so concurrent
-		// batches spread their remote fetches across owners; hits are
-		// order-independent (the offer multiset is what matters).
 		for n := 0; bs.cursor < bk.p0 && n < steps; n++ {
-			s := bs.cursor
-			r.SetStep(s)
-			b := (s + int(bs.id)%bk.p0) % bk.p0
-			var recs []fasta.Record
-			var key cacheKey
-			var alloc int64
-			if owner := plan.BlockRank(b); owner == bs.owner {
-				rg := bk.ranges[b]
-				raw := bk.db[rg.Start:rg.End]
-				key = blockKey(b, len(raw))
-				if recs, err = bk.cache.recsFor(key, raw); err != nil {
-					return fmt.Errorf("rank %d: block %d: %w", r.ID(), b, err)
-				}
-			} else {
-				data, err := r.Get(owner, blockWinName(b, bk.gen[b])).Wait()
-				if err != nil {
-					return err
-				}
-				alloc = int64(len(data))
-				r.NoteAlloc(alloc)
-				key = blockKey(b, len(data))
-				if recs, err = bk.cache.recsFor(key, data); err != nil {
-					return fmt.Errorf("rank %d: block %d: %w", r.ID(), b, err)
-				}
-			}
-			c, err := processBlock(r, shim, bk.opt, bs.qs, bs.lists, recs, contiguousGIDs(bk.bases[b], len(recs)), blockIDResolver(recs, bk.bases[b]), key)
-			if err != nil {
+			r.SetStep(bs.cursor)
+			if err := bs.visit(r, bk.pt, &bk.layout, shim, bk.opt, bs.cursor); err != nil {
 				return err
 			}
-			bs.candidates += c
-			if alloc > 0 {
-				r.NoteFree(alloc)
-			}
-			bs.cursor = s + 1
 		}
 		r.SetStep(-1)
-		bk.checkpoint(r, bs)
+		bs.checkpoint(r, bk.store)
 		if bs.cursor == bk.p0 {
 			r.SetPhase("report")
 			bs.results = finalizeResults(queryIndices(0, len(bs.qs)), bs.qs, bs.lists)
@@ -377,79 +301,12 @@ func (bk *Backend) ScanBatch(mach *cluster.Machine, bs *BatchState, dispatchAt f
 			for _, qr := range bs.results {
 				hits += len(qr.Hits)
 			}
-			r.Compute(cost.HitSecPerHit * float64(hits))
-			r.NoteFree(int64(bs.qbytes()))
+			r.Compute(r.Cost().HitSecPerHit * float64(hits))
+			r.NoteFree(int64(queryBytes(bs.specs)))
 			bs.done = true
 			bs.doneClock = r.Time()
 		}
 		return nil
 	})
 	return rep, nil
-}
-
-// qbytes is the batch's conditioned-query footprint estimate (the same
-// formula every engine charges at query load).
-func (bs *BatchState) qbytes() int {
-	var qbytes int
-	for _, s := range bs.specs {
-		qbytes += 64 + 12*len(s.Peaks)
-	}
-	return qbytes
-}
-
-// prepare conditions the batch's queries on the owner rank (charged as I/O
-// plus per-peak prep) and replays its staged checkpoint, if any.
-func (bk *Backend) prepare(r *cluster.Rank, bs *BatchState) error {
-	cost := r.Cost()
-	r.SetPhase("ingest")
-	qbytes := bs.qbytes()
-	r.Compute(cost.IOSec(qbytes))
-	r.NoteAlloc(int64(qbytes))
-	bs.qs = prepareQueries(r, bs.specs, bk.opt.Score)
-	bs.lists = make([]*topk.List, len(bs.qs))
-	for i := range bs.lists {
-		bs.lists[i] = topk.New(bk.opt.Tau)
-	}
-	bs.cursor, bs.candidates = 0, 0
-	if bs.restoreBlob != nil {
-		r.Compute(cost.IOSec(len(bs.restoreBlob)))
-		cp, err := ckpt.Decode(bs.restoreBlob)
-		if err != nil {
-			return fmt.Errorf("rank %d: restore batch %d: %w", r.ID(), bs.id, err)
-		}
-		if cp.Group != bs.id || len(cp.Queries) != len(bs.qs) || int(cp.Cursor) > bk.p0 {
-			return fmt.Errorf("rank %d: restore batch %d: checkpoint shape mismatch", r.ID(), bs.id)
-		}
-		for i := range cp.Queries {
-			for _, h := range cp.Queries[i].Hits {
-				bs.lists[i].Offer(h)
-			}
-		}
-		bs.cursor = int(cp.Cursor)
-		bs.candidates = cp.Candidates
-		if r.Tracing() {
-			r.Mark("restore", fmt.Sprintf("batch %d resumes at step %d", bs.id, bs.cursor))
-		}
-		bs.restoreBlob = nil
-	}
-	bs.prepared = true
-	return nil
-}
-
-// checkpoint serializes the batch's recovery state to the stable store,
-// charging the write as I/O on the owner's clock.
-func (bk *Backend) checkpoint(r *cluster.Rank, bs *BatchState) {
-	cp := ckpt.Group{Group: bs.id, Cursor: int32(bs.cursor), Candidates: bs.candidates}
-	cp.Queries = make([]ckpt.Query, len(bs.lists))
-	for i, l := range bs.lists {
-		cp.Queries[i] = ckpt.Query{Hits: l.Hits()}
-	}
-	blob := cp.Encode()
-	bk.store.Put(bs.id, blob)
-	r.SetPhase("checkpoint")
-	if r.Tracing() {
-		r.Mark("checkpoint", fmt.Sprintf("batch %d at step %d (%d bytes)", bs.id, bs.cursor, len(blob)))
-	}
-	r.Compute(r.Cost().IOSec(len(blob)))
-	r.SetPhase("scan")
 }

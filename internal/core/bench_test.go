@@ -206,11 +206,12 @@ func BenchmarkScanKernelQueryMajor(b *testing.B) {
 	}
 }
 
-// BenchmarkResilient measures the checkpointed transport loop against its
-// checkpoint-free configuration: host wall-clock per run plus the virtual
-// run-time (vsec/op) and checkpoint traffic (ckptB/op), so the recorded
-// baseline captures the failure-free cost of enabling recovery.
-func BenchmarkResilient(b *testing.B) {
+// BenchmarkElastic measures the checkpointed engine over a static
+// membership, checkpointing every step against the checkpoint-free
+// EpochSteps ≥ p0: host wall-clock per run plus the virtual run-time
+// (vsec/op) and checkpoint traffic (ckptB/op), so the recorded baseline
+// captures the failure-free cost of enabling recovery.
+func BenchmarkElastic(b *testing.B) {
 	db := synth.GenerateDB(synth.SizedSpec(200))
 	data := fasta.Marshal(db)
 	truths, err := synth.GenerateSpectra(db, synth.DefaultSpectraSpec(8))
@@ -220,15 +221,15 @@ func BenchmarkResilient(b *testing.B) {
 	in := Input{DBData: data, Queries: synth.Spectra(truths)}
 	opt := DefaultOptions()
 	opt.Tau = 10
-	for _, every := range []int{0, 1} {
-		b.Run(fmt.Sprintf("p=4/ckpt=%d", every), func(b *testing.B) {
+	for _, epoch := range []int{1, 4} {
+		b.Run(fmt.Sprintf("static/p=4/epoch=%d", epoch), func(b *testing.B) {
 			cfg := cluster.Config{Ranks: 4, Cost: cluster.GigabitCluster()}
-			ropt := ResilientOptions{CheckpointEvery: every}
+			eopt := ElasticOptions{EpochSteps: epoch}
 			var vsec, ckptBytes float64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, rec, err := RunResilient(cfg, in, opt, ropt)
+				res, rec, err := RunElastic(cfg, in, opt, eopt)
 				if err != nil {
 					b.Fatal(err)
 				}

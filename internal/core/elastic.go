@@ -1,21 +1,24 @@
-// The elastic transport loop: Algorithm A's block-cycled scan over a LIVE
-// membership — ranks join and leave a running machine at scheduled virtual
-// times, with ownership rebalanced through the placement layer and the
-// final hits bit-identical to a static run.
+// The checkpointed epoch engine: Algorithm A's block-cycled scan with epoch
+// checkpoint/restart, over a static or LIVE membership — ranks join and
+// leave a running machine at scheduled virtual times, with ownership
+// rebalanced through the placement layer and the final hits bit-identical
+// to a static run. A nil MembershipPlan is the static case, the engine's
+// plain fault-tolerant search; EpochSteps ≥ p0 runs it checkpoint-free.
 //
-// The job keeps the stable logical structure of the resilient engine: the
-// database is partitioned once into p0 record-aligned blocks and the
-// queries into p0 groups, p0 = MembershipPlan.Initial. A placement.Plan
-// maps both onto the current membership; the initial plan is the historical
-// round-robin partition, and every membership change advances it with
-// placement.Next, which moves only the minimal orphaned-or-over-quota set.
+// The database is partitioned once into p0 record-aligned blocks and the
+// queries into p0 groups, p0 = MembershipPlan.Initial (sweep.go). A
+// placement.Plan maps both onto the current membership; the initial plan is
+// the round-robin partition (block b and group g on members b mod p and
+// g mod p), and every membership change advances it with placement.Next,
+// which moves only the minimal orphaned-or-over-quota set.
 //
 // The scan is step-major: at global step s every owned group g offers block
 // (g+s) mod p0, so all groups share one cursor and the per-group offer
-// order is exactly the static schedule. Every EpochSteps steps the engine
-// reaches an epoch boundary:
+// order is exactly the static schedule. Blocks are fetched on demand, with
+// no prefetch. Every EpochSteps steps the engine reaches an epoch boundary:
 //
-//  1. every member checkpoints its owned groups (cursor = s);
+//  1. every member checkpoints its owned groups (cursor = s) to the
+//     host-side stable store, each write charged as I/O;
 //  2. the members agree on the boundary's virtual time with an OpMax
 //     allreduce over timeBase + local clock — the agreed time, not any
 //     local clock, decides which membership events fire, so the firing
@@ -33,13 +36,15 @@
 //     store; then old and new members synchronize on their union and
 //     leavers park back in AwaitAdmission, re-admittable at later events.
 //
-// Bit-identity with the static run holds for the same reason it does for
-// the resilient engine: a top-τ list is a pure function of its offer
-// multiset, each group's offers stay s-ascending across any join/leave
-// history (checkpoints reflect exactly the pre-cursor blocks), and the
-// group→block schedule never depends on placement. A crash aborts the
-// attempt and the driver replays the membership schedule without the dead
-// ranks on a fresh machine, resuming from the checkpoint store.
+// Bit-identity with the static run holds because a top-τ list is a pure
+// function of its offer multiset (topk's strict total order breaks all
+// ties), each group's offers stay s-ascending across any join/leave history
+// (checkpoints reflect exactly the pre-cursor blocks), and the group→block
+// schedule never depends on placement. A crash (cluster.RunReport
+// .Recoverable) aborts the attempt and the driver replays the membership
+// schedule without the dead ranks on a fresh machine, resuming every group
+// from its last checkpoint. Resident memory stays O(N/p′): a member holds
+// its owned blocks plus one transported block.
 package core
 
 import (
@@ -49,10 +54,8 @@ import (
 
 	"pepscale/internal/ckpt"
 	"pepscale/internal/cluster"
-	"pepscale/internal/fasta"
 	"pepscale/internal/placement"
 	"pepscale/internal/score"
-	"pepscale/internal/topk"
 	"pepscale/internal/trace"
 )
 
@@ -62,7 +65,9 @@ type ElasticOptions struct {
 	// over cfg.Ranks (Universe = Initial = cfg.Ranks, no events).
 	Membership *cluster.MembershipPlan
 	// EpochSteps is the number of scan steps between epoch boundaries
-	// (default 1: events can fire before every step).
+	// (default 1: events can fire before every step). EpochSteps ≥ p0
+	// never reaches a boundary: the run writes no checkpoint, a crash
+	// restarts every group from step 0, and membership events never fire.
 	EpochSteps int
 	// MaxAttempts bounds driver re-runs after crashes (default: the
 	// universe size).
@@ -73,6 +78,7 @@ type ElasticOptions struct {
 
 // elasticSchedule is one attempt's immutable replay input.
 type elasticSchedule struct {
+	pt       *partition
 	p0       int
 	epoch    int
 	initial  []int
@@ -107,7 +113,7 @@ func RunElastic(cfg cluster.Config, in Input, opt Options, eopt ElasticOptions) 
 		maxAttempts = mp.Universe
 	}
 	store := ckpt.NewStore()
-	cache := newIndexCache()
+	pt := newPartition(in.DBData, p0)
 	rec := &Recovery{}
 	dead := make(map[int]bool)
 	var timeBase float64
@@ -127,7 +133,7 @@ func RunElastic(cfg cluster.Config, in Input, opt Options, eopt ElasticOptions) 
 		if len(initial) == 0 {
 			return nil, rec, fmt.Errorf("core: all %d ranks failed", mp.Universe)
 		}
-		es := &elasticSchedule{p0: p0, epoch: epoch, initial: initial,
+		es := &elasticSchedule{pt: pt, p0: p0, epoch: epoch, initial: initial,
 			events: filterEvents(mp.Events, dead), timeBase: timeBase}
 		c := cfg
 		c.Ranks = mp.Universe
@@ -141,7 +147,6 @@ func RunElastic(cfg cluster.Config, in Input, opt Options, eopt ElasticOptions) 
 			return nil, rec, err
 		}
 		sh := newShared(mp.Universe)
-		sh.cache = cache
 		rep := mach.RunWithReport(func(r *cluster.Rank) error {
 			return elasticBody(r, in, opt, es, store, sh)
 		})
@@ -218,41 +223,25 @@ func filterEvents(events []cluster.MemberEvent, dead map[int]bool) []cluster.Mem
 	return out
 }
 
-// blockWinName names database block b's RMA window at migration generation
-// gen: the original exposure keeps the resilient engine's name, every
-// migration re-exposes under a bumped generation (windows are immutable and
-// outlive rank bodies, so a rank re-acquiring a block within one attempt
-// needs a fresh key).
-func blockWinName(b int, gen int32) string {
-	if gen == 0 {
-		return dbBlockWindow(b)
-	}
-	return fmt.Sprintf("db%d.g%d", b, gen)
-}
-
-// eBlock is one resident database block.
-type eBlock struct {
-	raw  []byte
-	recs []fasta.Record
-}
-
 // elasticState is one rank's live view of the elastic run. Every field is
 // recomputed deterministically from the schedule (or received once in the
 // admission payload), so all members always agree on plan, generations, and
 // event cursor without exchanging any further coordination state.
 type elasticState struct {
-	plan     *placement.Plan
-	scr      placement.Scratch
+	layout
 	eventIdx int
 	s        int // next scan step
 	nextB    int // next epoch-boundary step
-	bases    []int32
-	gen      []int32
-	blocks   map[int]*eBlock
 	groups   map[int]*rgroup
-	sc       score.Scorer
 	shim     *loaded
 	loadT    float64
+}
+
+// rgroup is one query group's in-flight sweep on its driving rank, covering
+// queries [qlo, qhi).
+type rgroup struct {
+	sweep
+	qlo, qhi int
 }
 
 // elasticBody is one rank's program for one attempt: initially-active ranks
@@ -264,7 +253,7 @@ func elasticBody(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, st
 		var st *elasticState
 		var err error
 		if active {
-			st, err = elasticStart(r, in, opt, es, store, sh)
+			st, err = elasticStart(r, in, opt, es, store)
 		} else {
 			payload, ok := r.AwaitAdmission()
 			if !ok {
@@ -289,41 +278,25 @@ func elasticBody(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, st
 // elasticStart boots an initially-active rank: load and expose the owned
 // blocks of the round-robin plan, agree on protein-index bases over the
 // initial membership's communicator, and build/restore the owned groups.
-func elasticStart(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, store *ckpt.Store, sh *shared) (*elasticState, error) {
+func elasticStart(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, store *ckpt.Store) (*elasticState, error) {
 	id := r.ID()
-	cost := r.Cost()
 	t0 := r.Time()
 	r.SetPhase("load")
 	plan, err := placement.RoundRobin(es.p0, es.p0, es.initial)
 	if err != nil {
 		return nil, err
 	}
-	st := &elasticState{plan: plan, nextB: es.epoch,
-		gen: make([]int32, es.p0), blocks: make(map[int]*eBlock), groups: make(map[int]*rgroup)}
-
-	ranges := fasta.Ranges(in.DBData, es.p0)
-	myBlocks := plan.BlocksOf(id)
-	for _, b := range myBlocks {
-		rg := ranges[b]
-		raw := in.DBData[rg.Start:rg.End]
-		r.Compute(cost.IOSec(len(raw)))
-		r.NoteAlloc(int64(len(raw)))
-		recs, err := sh.cache.recsFor(blockKey(b, len(raw)), raw)
-		if err != nil {
-			return nil, fmt.Errorf("rank %d: load block %d: %w", id, b, err)
-		}
-		st.blocks[b] = &eBlock{raw: raw, recs: recs}
-		r.Expose(blockWinName(b, 0), raw)
+	st := &elasticState{layout: layout{plan: plan, gen: make([]int32, es.p0)},
+		nextB: es.epoch, groups: make(map[int]*rgroup)}
+	payload, err := es.pt.load(r, plan.BlocksOf(id), st.gen)
+	if err != nil {
+		return nil, err
 	}
 
 	// Protein-index bases over the initial membership only — the world
 	// communicator is off-limits: dormant ranks are parked and must never
 	// be awaited.
 	comm := r.Group(es.initial)
-	payload := make([]byte, 8*len(myBlocks))
-	for i, b := range myBlocks {
-		binary.LittleEndian.PutUint64(payload[8*i:], uint64(len(st.blocks[b].recs)))
-	}
 	counts := comm.Allgather(payload)
 	nrecs := make([]int32, es.p0)
 	for j, buf := range counts {
@@ -338,63 +311,43 @@ func elasticStart(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, s
 		acc += nrecs[b]
 	}
 
-	if st.sc, err = score.New(opt.ScorerName, opt.Score); err != nil {
+	if st.shim, err = newShim(opt, es.pt); err != nil {
 		return nil, err
 	}
 	for _, g := range plan.GroupsOf(id) {
-		gr, _, err := loadGroup(r, in, opt, es.p0, store, g)
+		gr, err := loadGroup(r, in, opt, es.p0, store, g)
 		if err != nil {
 			return nil, err
 		}
 		st.groups[g] = gr
 	}
-	st.shim = &loaded{sc: st.sc, cache: sh.cache}
 	comm.Barrier() // all initial windows exposed
 	st.loadT = r.Time() - t0
 	return st, nil
 }
 
-// loadGroup builds query group g (conditioning charged as I/O plus prep),
-// restoring its cursor state from the stable store when a checkpoint
-// exists. It returns the restored blob size (0 for a fresh group).
-func loadGroup(r *cluster.Rank, in Input, opt Options, p0 int, store *ckpt.Store, g int) (*rgroup, int, error) {
-	cost := r.Cost()
+// newShim builds the per-rank scan state processBlock carries: the scorer
+// and the shared index cache.
+func newShim(opt Options, pt *partition) (*loaded, error) {
+	sc, err := score.New(opt.ScorerName, opt.Score)
+	if err != nil {
+		return nil, err
+	}
+	return &loaded{sc: sc, cache: pt.cache}, nil
+}
+
+// loadGroup builds query group g, restoring its cursor state from the
+// stable store when a checkpoint exists.
+func loadGroup(r *cluster.Rank, in Input, opt Options, p0 int, store *ckpt.Store, g int) (*rgroup, error) {
 	qlo, qhi := share(len(in.Queries), p0, g)
-	specs := in.Queries[qlo:qhi]
-	var qbytes int
-	for _, s := range specs {
-		qbytes += 64 + 12*len(s.Peaks)
-	}
-	r.Compute(cost.IOSec(qbytes))
-	r.NoteAlloc(int64(qbytes))
-	gr := &rgroup{g: g, qlo: qlo, qhi: qhi, qs: prepareQueries(r, specs, opt.Score)}
-	gr.lists = make([]*topk.List, len(gr.qs))
-	for i := range gr.lists {
-		gr.lists[i] = topk.New(opt.Tau)
-	}
-	var restored int
+	gr := &rgroup{sweep: sweep{id: int32(g), unit: "group"}, qlo: qlo, qhi: qhi}
+	gr.prepare(r, in.Queries[qlo:qhi], opt)
 	if blob, ok := store.Get(int32(g)); ok {
-		r.Compute(cost.IOSec(len(blob)))
-		cp, err := ckpt.Decode(blob)
-		if err != nil {
-			return nil, 0, fmt.Errorf("rank %d: restore group %d: %w", r.ID(), g, err)
-		}
-		if int(cp.Group) != g || len(cp.Queries) != len(gr.qs) || int(cp.Cursor) > p0 {
-			return nil, 0, fmt.Errorf("rank %d: restore group %d: checkpoint shape mismatch", r.ID(), g)
-		}
-		for i := range cp.Queries {
-			for _, h := range cp.Queries[i].Hits {
-				gr.lists[i].Offer(h)
-			}
-		}
-		gr.cursor = int(cp.Cursor)
-		gr.candidates = cp.Candidates
-		restored = len(blob)
-		if r.Tracing() {
-			r.Mark("restore", fmt.Sprintf("group %d resumes at step %d", g, gr.cursor))
+		if err := gr.restore(r, blob, p0); err != nil {
+			return nil, err
 		}
 	}
-	return gr, restored, nil
+	return gr, nil
 }
 
 // elasticMain runs the step-major scan from st.s, handling epoch boundaries
@@ -422,34 +375,9 @@ func elasticMain(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, st
 			if s < gr.cursor || len(gr.qs) == 0 {
 				continue
 			}
-			b := (g + s) % es.p0
-			var recs []fasta.Record
-			var key cacheKey
-			var alloc int64
-			if owner := st.plan.BlockRank(b); owner == id {
-				ob := st.blocks[b]
-				recs, key = ob.recs, blockKey(b, len(ob.raw))
-			} else {
-				data, err := r.Get(owner, blockWinName(b, st.gen[b])).Wait()
-				if err != nil {
-					return false, err
-				}
-				alloc = int64(len(data))
-				r.NoteAlloc(alloc)
-				key = blockKey(b, len(data))
-				if recs, err = sh.cache.recsFor(key, data); err != nil {
-					return false, fmt.Errorf("rank %d: block %d: %w", id, b, err)
-				}
-			}
-			c, err := processBlock(r, st.shim, opt, gr.qs, gr.lists, recs, contiguousGIDs(st.bases[b], len(recs)), blockIDResolver(recs, st.bases[b]), key)
-			if err != nil {
+			if err := gr.visit(r, es.pt, &st.layout, st.shim, opt, s); err != nil {
 				return false, err
 			}
-			gr.candidates += c
-			if alloc > 0 {
-				r.NoteFree(alloc)
-			}
-			gr.cursor = s + 1
 		}
 	}
 	r.SetStep(-1)
@@ -496,7 +424,7 @@ func elasticBoundary(r *cluster.Rank, in Input, opt Options, es *elasticSchedule
 	// 1. Checkpoint every owned group at the shared cursor, so any group
 	// that migrates (or any crash) resumes exactly here.
 	for _, g := range sortedGroupIDs(st.groups) {
-		writeCheckpoint(r, store, st.groups[g])
+		st.groups[g].checkpoint(r, store)
 	}
 	// 2. Agree on the boundary's virtual time; fire every event it reaches.
 	comm := r.Group(st.plan.Members)
@@ -526,41 +454,20 @@ func elasticBoundary(r *cluster.Rank, in Input, opt Options, es *elasticSchedule
 func elasticApply(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, store *ckpt.Store, sh *shared, st *elasticState, newMembers []int) (bool, error) {
 	id := r.ID()
 	r.SetPhase("migrate")
-	next, err := st.scr.Next(st.plan, newMembers)
-	if err != nil {
-		return false, err
-	}
-	migs, err := placement.Rebalance(st.plan, next)
+	next, migs, err := st.advance(newMembers)
 	if err != nil {
 		return false, err
 	}
 	for _, mg := range migs {
 		switch mg.Kind {
 		case placement.MigrateBlock:
-			oldName := blockWinName(mg.ID, st.gen[mg.ID])
-			st.gen[mg.ID]++
-			if mg.To == id {
-				data, err := r.Get(mg.From, oldName).Wait()
-				if err != nil {
-					return false, err
-				}
-				r.NoteAlloc(int64(len(data)))
-				recs, err := sh.cache.recsFor(blockKey(mg.ID, len(data)), data)
-				if err != nil {
-					return false, fmt.Errorf("rank %d: migrate block %d: %w", id, mg.ID, err)
-				}
-				st.blocks[mg.ID] = &eBlock{raw: data, recs: recs}
-				r.Expose(blockWinName(mg.ID, st.gen[mg.ID]), data)
-				sh.migBytes[id] += int64(len(data))
-			} else if mg.From == id {
-				if ob := st.blocks[mg.ID]; ob != nil {
-					r.NoteFree(int64(len(ob.raw)))
-					delete(st.blocks, mg.ID)
-				}
+			if err := es.pt.moveBlock(r, mg, st.gen[mg.ID], sh.migBytes); err != nil {
+				return false, err
 			}
+			st.gen[mg.ID]++
 		case placement.MigrateGroup:
 			if mg.To == id {
-				gr, _, err := loadGroup(r, in, opt, es.p0, store, mg.ID)
+				gr, err := loadGroup(r, in, opt, es.p0, store, mg.ID)
 				if err != nil {
 					return false, err
 				}
@@ -594,12 +501,11 @@ func elasticJoin(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, st
 	}
 	prev := &placement.Plan{Blocks: es.p0, Groups: es.p0, Members: ad.oldMembers,
 		BlockOwner: ad.blockOwner, GroupOwner: ad.groupOwner}
-	st := &elasticState{plan: prev, eventIdx: ad.eventIdx, s: ad.step, nextB: ad.step + es.epoch,
-		bases: ad.bases, gen: ad.gen, blocks: make(map[int]*eBlock), groups: make(map[int]*rgroup)}
-	if st.sc, err = score.New(opt.ScorerName, opt.Score); err != nil {
+	st := &elasticState{layout: layout{plan: prev, gen: ad.gen, bases: ad.bases},
+		eventIdx: ad.eventIdx, s: ad.step, nextB: ad.step + es.epoch, groups: make(map[int]*rgroup)}
+	if st.shim, err = newShim(opt, es.pt); err != nil {
 		return nil, err
 	}
-	st.shim = &loaded{sc: st.sc, cache: sh.cache}
 	departed, err := elasticApply(r, in, opt, es, store, sh, st, ad.newMembers)
 	if err != nil {
 		return nil, err

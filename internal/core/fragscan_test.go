@@ -90,7 +90,7 @@ func TestFragIdxEngineScorers(t *testing.T) {
 func TestFragIdxResilientChaos(t *testing.T) {
 	in := testInput(t, 80, 12)
 	opt := testOptions()
-	golden, grec, err := RunResilient(clusterCfg(6), in, opt, ResilientOptions{CheckpointEvery: 2})
+	golden, grec, err := RunElastic(clusterCfg(6), in, opt, ElasticOptions{EpochSteps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestFragIdxResilientChaos(t *testing.T) {
 	fragOpt.ScanMode = ScanModeFragIdx
 
 	// Failure-free fragment-index run: identical results and metrics.
-	clean, _, err := RunResilient(clusterCfg(6), in, fragOpt, ResilientOptions{CheckpointEvery: 2})
+	clean, _, err := RunElastic(clusterCfg(6), in, fragOpt, ElasticOptions{EpochSteps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +112,9 @@ func TestFragIdxResilientChaos(t *testing.T) {
 	}
 
 	// Chaos: crash a rank, recover, rebuild indices — results unchanged.
-	res, rec, err := RunResilient(clusterCfg(6), in, fragOpt, ResilientOptions{
-		CheckpointEvery: 2,
-		Faults:          []*cluster.FaultPlan{{CrashAtCall: map[int]int{1: 9}}},
+	res, rec, err := RunElastic(clusterCfg(6), in, fragOpt, ElasticOptions{
+		EpochSteps: 2,
+		Faults:     []*cluster.FaultPlan{{CrashAtCall: map[int]int{1: 9}}},
 	})
 	if err != nil {
 		t.Fatalf("%v (attempts: %+v)", err, rec.Attempts)

@@ -1,11 +1,11 @@
-// Package placement is the first-class partition layer of the elastic
-// engines: a deterministic mapping from the job's stable logical structure —
+// Package placement is the first-class partition layer of the checkpointed
+// epoch engine (core.RunElastic) and the serving backend: a deterministic mapping from the job's stable logical structure —
 // p0 database blocks and p0 query groups, fixed for the lifetime of a search
 // — to a current membership set of global rank ids.
 //
-// Two constructors cover the two regimes. RoundRobin reproduces the
-// historical modular partition of core.RunResilient (block b and group g on
-// member b mod p′), which remaps almost every assignment when the membership
+// Two constructors cover the two regimes. RoundRobin is the modular
+// partition (block b and group g on member b mod p′) every checkpointed run
+// starts from, which remaps almost every assignment when the membership
 // changes. Next computes an incremental plan instead: assignments whose
 // owner survives keep their owner wherever the balance targets allow, and
 // only the orphaned or over-quota remainder moves — the minimal migration
@@ -155,10 +155,8 @@ func sortedMembers(members []int) ([]int, error) {
 }
 
 // RoundRobin builds the historical modular plan: block b and group g are
-// owned by the (b mod p′)-th and (g mod p′)-th member in ascending order.
-// Over members 0..p′−1 this is exactly the partition core.RunResilient has
-// always used, so refactoring onto it changes no assignment, no virtual
-// time, and no trace byte.
+// owned by the (b mod p′)-th and (g mod p′)-th member in ascending order —
+// over members 0..p′−1, exactly Algorithm A's rank-b-owns-block-b layout.
 func RoundRobin(blocks, groups int, members []int) (*Plan, error) {
 	ms, err := sortedMembers(members)
 	if err != nil {

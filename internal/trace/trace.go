@@ -251,9 +251,9 @@ func (rec *Recorder) Snapshot(label string) *Attempt {
 }
 
 // Attempt is the immutable trace of one machine run: Events[r] is rank r's
-// timeline in program order. Resilient and recovery drivers produce one
-// Attempt per retry, so a chaos trace shows the crash, the survivors'
-// detection stalls, and the re-partitioned re-run side by side.
+// timeline in program order. The checkpointed engine and RunWithRecovery
+// produce one Attempt per retry, so a chaos trace shows the crash, the
+// survivors' detection stalls, and the re-partitioned re-run side by side.
 type Attempt struct {
 	// Label describes the run (engine, rank count, attempt number).
 	Label string
