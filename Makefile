@@ -77,10 +77,14 @@ chaos-elastic:
 		./internal/cluster/ ./internal/core/
 	$(GO) test -race -count=1 ./internal/placement/
 
-# fuzz-short gives every fuzz target a fixed, CI-sized budget: the codec
-# decoders (checkpoint, result/batch wire, trace JSON reader) must never
-# panic and must only accept canonical blobs. The minimize budget is capped
-# so a coverage-expanding input cannot stall the run.
+# fuzz-short gives every fuzz target a fixed, CI-sized budget. The binary
+# codec decoders (checkpoint, core result/batch wire, candidate blocks,
+# membership plans, pepd submit/result frames) must never panic and must
+# accept only canonical blobs; the text readers (trace JSON, MGF, and the
+# FASTA range partition, whose concatenated ranges must parse exactly as
+# the whole file) must never panic and must fail with their typed errors.
+# The minimize budget is capped so a coverage-expanding input cannot stall
+# the run.
 FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test ./internal/ckpt/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
@@ -90,13 +94,16 @@ fuzz-short:
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzDecodeMembershipPlan -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeSubmit -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzUnmarshalCands -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/spectrum/ -run '^$$' -fuzz FuzzParseMGF -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/fasta/ -run '^$$' -fuzz FuzzRanges -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # cover enforces the checked-in statement-coverage floor
-# (.coverage-threshold) over the simulation, observability, recovery, and
-# serving packages.
+# (.coverage-threshold) over the simulation, observability, recovery,
+# serving, and binary-codec packages.
 cover:
 	$(GO) test -coverprofile=coverage.out ./internal/cluster/ ./internal/core/ ./internal/trace/ \
-		./internal/serve/ ./internal/placement/ ./internal/ckpt/
+		./internal/serve/ ./internal/placement/ ./internal/ckpt/ ./internal/binfmt/
 	@total=$$($(GO) tool cover -func=coverage.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
 	min=$$(cat .coverage-threshold); \
 	echo "coverage: $$total% of statements (floor: $$min%)"; \

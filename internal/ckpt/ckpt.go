@@ -5,20 +5,20 @@
 // top-τ hit list — serialized to a deterministic, self-describing binary
 // blob.
 //
-// The encoding is fixed little-endian with float bits written via
-// math.Float64bits, so the same state always produces the same bytes: blobs
-// are comparable, hashable, and bit-stable across runs — the property the
-// chaos tests rely on when proving a recovered run identical to the
-// failure-free one.
+// The blob follows the repository's one codec discipline, internal/binfmt:
+// fixed little-endian fields, float bits, and binfmt's shared hit-list
+// layout, so the same state always produces the same bytes. Blobs are
+// comparable, hashable, and bit-stable across runs — the property the chaos
+// tests rely on when proving a recovered run identical to the failure-free
+// one — and their lengths, charged on the virtual clock, are replayable.
 package ckpt
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
+	"pepscale/internal/binfmt"
 	"pepscale/internal/topk"
 )
 
@@ -56,140 +56,42 @@ type Group struct {
 func (g *Group) Encode() []byte {
 	n := 4 + 4 + 4 + 4 + 8 + 4
 	for i := range g.Queries {
-		n += 4
-		for j := range g.Queries[i].Hits {
-			h := &g.Queries[i].Hits[j]
-			n += 4 + len(h.Peptide) + 4 + 4 + len(h.ProteinID) + 8 + 8
-		}
+		n += binfmt.HitsSize(g.Queries[i].Hits)
 	}
 	buf := make([]byte, 0, n)
-	buf = appendU32(buf, magic)
-	buf = appendU32(buf, version)
-	buf = appendU32(buf, uint32(g.Group))
-	buf = appendU32(buf, uint32(g.Cursor))
-	buf = appendU64(buf, uint64(g.Candidates))
-	buf = appendU32(buf, uint32(len(g.Queries)))
+	buf = binfmt.U32(buf, magic)
+	buf = binfmt.U32(buf, version)
+	buf = binfmt.U32(buf, uint32(g.Group))
+	buf = binfmt.U32(buf, uint32(g.Cursor))
+	buf = binfmt.U64(buf, uint64(g.Candidates))
+	buf = binfmt.U32(buf, uint32(len(g.Queries)))
 	for i := range g.Queries {
-		hits := g.Queries[i].Hits
-		buf = appendU32(buf, uint32(len(hits)))
-		for j := range hits {
-			h := &hits[j]
-			buf = appendStr(buf, h.Peptide)
-			buf = appendU32(buf, uint32(h.Protein))
-			buf = appendStr(buf, h.ProteinID)
-			buf = appendU64(buf, math.Float64bits(h.Mass))
-			buf = appendU64(buf, math.Float64bits(h.Score))
-		}
+		buf = binfmt.AppendHits(buf, g.Queries[i].Hits)
 	}
 	return buf
 }
 
 // Decode parses a blob produced by Encode.
 func Decode(b []byte) (*Group, error) {
-	d := decoder{b: b}
-	if m := d.u32(); m != magic {
+	r := binfmt.NewReader(b, ErrCorrupt)
+	if m := r.U32(); m != magic {
 		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, m)
 	}
-	if v := d.u32(); v != version {
+	if v := r.U32(); v != version {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
-	g := &Group{
-		Group:      int32(d.u32()),
-		Cursor:     int32(d.u32()),
-		Candidates: int64(d.u64()),
-	}
-	nq := d.u32()
-	if d.err == nil && int(nq) > len(b) { // structural sanity before allocating
-		return nil, fmt.Errorf("%w: query count %d exceeds blob size", ErrCorrupt, nq)
-	}
-	if d.err == nil {
-		g.Queries = make([]Query, nq)
-	}
-	for i := 0; d.err == nil && i < int(nq); i++ {
-		nh := d.u32()
-		if d.err == nil && int(nh) > len(b) {
-			return nil, fmt.Errorf("%w: hit count %d exceeds blob size", ErrCorrupt, nh)
+	g := &Group{Group: r.I32(), Cursor: r.I32(), Candidates: int64(r.U64())}
+	g.Queries = make([]Query, r.Count(4))
+	for i := range g.Queries {
+		// A query without hits decodes as a non-nil, empty list.
+		if g.Queries[i].Hits = r.Hits(); g.Queries[i].Hits == nil {
+			g.Queries[i].Hits = []topk.Hit{}
 		}
-		if d.err != nil {
-			break
-		}
-		hits := make([]topk.Hit, nh)
-		for j := 0; d.err == nil && j < int(nh); j++ {
-			hits[j] = topk.Hit{
-				Peptide:   d.str(),
-				Protein:   int32(d.u32()),
-				ProteinID: d.str(),
-				Mass:      math.Float64frombits(d.u64()),
-				Score:     math.Float64frombits(d.u64()),
-			}
-		}
-		g.Queries[i].Hits = hits
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b))
+	if err := r.Finish(); err != nil {
+		return nil, err
 	}
 	return g, nil
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-
-func appendStr(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 4 {
-		d.err = fmt.Errorf("%w: truncated", ErrCorrupt)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 8 {
-		d.err = fmt.Errorf("%w: truncated", ErrCorrupt)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *decoder) str() string {
-	n := d.u32()
-	if d.err != nil {
-		return ""
-	}
-	if uint64(n) > uint64(len(d.b)) {
-		d.err = fmt.Errorf("%w: truncated string of %d bytes", ErrCorrupt, n)
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
 }
 
 // Store is the stable checkpoint storage a restarted machine reads from —

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pepscale/internal/binfmt"
 	"pepscale/internal/topk"
 )
 
@@ -73,7 +74,7 @@ func TestDecodeHugeCountRejected(t *testing.T) {
 	// A blob claiming 2^31 queries must be rejected before allocating.
 	var b []byte
 	b = append(b, blobHeader(0, 0, 0)...)
-	b = appendU32(b, 1<<31-1)
+	b = binfmt.U32(b, 1<<31-1)
 	if _, err := Decode(b); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
 	}
@@ -81,11 +82,11 @@ func TestDecodeHugeCountRejected(t *testing.T) {
 
 func blobHeader(group, cursor int32, cand int64) []byte {
 	var b []byte
-	b = appendU32(b, magic)
-	b = appendU32(b, version)
-	b = appendU32(b, uint32(group))
-	b = appendU32(b, uint32(cursor))
-	b = appendU64(b, uint64(cand))
+	b = binfmt.U32(b, magic)
+	b = binfmt.U32(b, version)
+	b = binfmt.U32(b, uint32(group))
+	b = binfmt.U32(b, uint32(cursor))
+	b = binfmt.U64(b, uint64(cand))
 	return b
 }
 

@@ -23,11 +23,13 @@
 package cluster
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+
+	"pepscale/internal/binfmt"
 )
 
 // MemberEvent is one batch of membership changes, applied atomically at the
@@ -194,37 +196,40 @@ func AutoscaleMembershipPlan(p0, spares int, horizonSec float64, seed int64) *Me
 	return mp
 }
 
-// Binary codec for membership schedules. The format is canonical: a blob is
-// accepted only if Decode(blob) re-encodes to exactly blob, which the fuzz
-// target enforces (see membership_fuzz_test.go).
+// Binary codec for membership schedules, on internal/binfmt. The format is
+// canonical: a blob is accepted only if Decode(blob) re-encodes to exactly
+// blob, which the fuzz target enforces (see membership_fuzz_test.go).
 const (
 	membershipMagic   = uint32(0x504d4252) // "RBMP" little-endian on the wire
 	membershipVersion = uint16(1)
+	// maxPlanCount bounds the universe and the event count; Validate
+	// bounds the initial count and every rank list by the universe.
+	maxPlanCount = 1 << 24
+	// minEventBytes is an event with empty join and leave lists.
+	minEventBytes = 8 + 4 + 4
 )
+
+// errMembership reports a membership blob that fails structural or
+// semantic validation.
+var errMembership = errors.New("cluster: corrupt membership blob")
 
 // EncodeMembershipPlan serializes the plan into the canonical little-endian
 // binary form.
 func EncodeMembershipPlan(mp *MembershipPlan) []byte {
 	size := 4 + 2 + 4 + 4 + 4
 	for _, ev := range mp.Events {
-		size += 8 + 4 + 4*len(ev.Join) + 4 + 4*len(ev.Leave)
+		size += minEventBytes + 4*len(ev.Join) + 4*len(ev.Leave)
 	}
 	out := make([]byte, 0, size)
-	out = binary.LittleEndian.AppendUint32(out, membershipMagic)
-	out = binary.LittleEndian.AppendUint16(out, membershipVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(mp.Universe))
-	out = binary.LittleEndian.AppendUint32(out, uint32(mp.Initial))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(mp.Events)))
+	out = binfmt.U32(out, membershipMagic)
+	out = binfmt.U16(out, membershipVersion)
+	out = binfmt.U32(out, uint32(mp.Universe))
+	out = binfmt.U32(out, uint32(mp.Initial))
+	out = binfmt.U32(out, uint32(len(mp.Events)))
 	for _, ev := range mp.Events {
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(ev.TimeSec))
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(ev.Join)))
-		for _, r := range ev.Join {
-			out = binary.LittleEndian.AppendUint32(out, uint32(r))
-		}
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(ev.Leave)))
-		for _, r := range ev.Leave {
-			out = binary.LittleEndian.AppendUint32(out, uint32(r))
-		}
+		out = binfmt.F64(out, ev.TimeSec)
+		out = binfmt.Ints(out, ev.Join)
+		out = binfmt.Ints(out, ev.Leave)
 	}
 	return out
 }
@@ -233,121 +238,31 @@ func EncodeMembershipPlan(mp *MembershipPlan) []byte {
 // rejecting truncated, oversized, trailing-garbage, and semantically
 // invalid inputs.
 func DecodeMembershipPlan(data []byte) (*MembershipPlan, error) {
-	r := memReader{data: data}
-	if magic, err := r.u32(); err != nil || magic != membershipMagic {
-		return nil, fmt.Errorf("cluster: membership blob: bad magic")
+	r := binfmt.NewReader(data, errMembership)
+	if m := r.U32(); m != membershipMagic {
+		return nil, fmt.Errorf("%w: bad magic %#x", errMembership, m)
 	}
-	if v, err := r.u16(); err != nil || v != membershipVersion {
-		return nil, fmt.Errorf("cluster: membership blob: unsupported version")
+	if v := r.U16(); v != membershipVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d", errMembership, v)
 	}
-	mp := &MembershipPlan{}
-	var err error
-	if mp.Universe, err = r.count(); err != nil {
-		return nil, err
-	}
-	if mp.Initial, err = r.count(); err != nil {
-		return nil, err
-	}
-	nev, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	// Each event needs at least 16 bytes; reject fictitious counts before
-	// allocating.
-	if nev*16 > len(r.data)-r.off {
-		return nil, fmt.Errorf("cluster: membership blob: truncated event list")
+	mp := &MembershipPlan{Universe: int(r.U32()), Initial: int(r.U32())}
+	nev := r.Count(minEventBytes)
+	if mp.Universe > maxPlanCount || nev > maxPlanCount {
+		return nil, fmt.Errorf("%w: universe %d or event count %d exceeds %d", errMembership, mp.Universe, nev, maxPlanCount)
 	}
 	if nev > 0 {
 		mp.Events = make([]MemberEvent, nev)
 	}
 	for i := range mp.Events {
-		bits, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		mp.Events[i].TimeSec = math.Float64frombits(bits)
-		if mp.Events[i].Join, err = r.ranks(); err != nil {
-			return nil, err
-		}
-		if mp.Events[i].Leave, err = r.ranks(); err != nil {
-			return nil, err
-		}
+		mp.Events[i] = MemberEvent{TimeSec: r.F64(), Join: r.Ints(), Leave: r.Ints()}
 	}
-	if r.off != len(r.data) {
-		return nil, fmt.Errorf("cluster: membership blob: %d trailing bytes", len(r.data)-r.off)
+	if err := r.Finish(); err != nil {
+		return nil, err
 	}
 	if err := mp.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", errMembership, err)
 	}
 	return mp, nil
-}
-
-// memReader is a bounds-checked little-endian cursor.
-type memReader struct {
-	data []byte
-	off  int
-}
-
-func (r *memReader) u16() (uint16, error) {
-	if r.off+2 > len(r.data) {
-		return 0, fmt.Errorf("cluster: membership blob: truncated")
-	}
-	v := binary.LittleEndian.Uint16(r.data[r.off:])
-	r.off += 2
-	return v, nil
-}
-
-func (r *memReader) u32() (uint32, error) {
-	if r.off+4 > len(r.data) {
-		return 0, fmt.Errorf("cluster: membership blob: truncated")
-	}
-	v := binary.LittleEndian.Uint32(r.data[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *memReader) u64() (uint64, error) {
-	if r.off+8 > len(r.data) {
-		return 0, fmt.Errorf("cluster: membership blob: truncated")
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-// count reads a u32 and bounds it to a sane non-negative int.
-func (r *memReader) count() (int, error) {
-	v, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
-	if v > 1<<24 {
-		return 0, fmt.Errorf("cluster: membership blob: count %d too large", v)
-	}
-	return int(v), nil
-}
-
-// ranks reads a length-prefixed rank list.
-func (r *memReader) ranks() ([]int, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	if n*4 > len(r.data)-r.off {
-		return nil, fmt.Errorf("cluster: membership blob: truncated rank list")
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		v, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = int(v)
-	}
-	return out, nil
 }
 
 // Admission tags are reserved message tags of the membership protocol.

@@ -2,14 +2,15 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
 // FuzzDecodeMembershipPlan fuzzes the membership-schedule codec. The
-// invariants: Decode never panics; any accepted blob describes a schedule
-// that passes Validate; and the codec is canonical — an accepted blob
-// re-encodes to exactly itself, so there is a bijection between valid
-// schedules and valid blobs. The checked-in seed corpus lives under
+// invariants: Decode never panics; every rejection wraps errMembership; any
+// accepted blob describes a schedule that passes Validate; and the codec is
+// canonical — an accepted blob re-encodes to exactly itself, so there is a
+// bijection between valid schedules and valid blobs. The checked-in seed corpus lives under
 // testdata/fuzz/FuzzDecodeMembershipPlan.
 func FuzzDecodeMembershipPlan(f *testing.F) {
 	f.Add([]byte{})
@@ -24,6 +25,9 @@ func FuzzDecodeMembershipPlan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mp, err := DecodeMembershipPlan(data)
 		if err != nil {
+			if !errors.Is(err, errMembership) {
+				t.Fatalf("error %v is not errMembership", err)
+			}
 			return
 		}
 		if verr := mp.Validate(); verr != nil {

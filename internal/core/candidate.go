@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"pepscale/internal/binfmt"
 	"pepscale/internal/cluster"
 	"pepscale/internal/digest"
 	"pepscale/internal/fasta"
@@ -43,56 +44,41 @@ func marshalCands(entries []candEntry) ([]byte, error) {
 		n += e.wireSize()
 	}
 	out := make([]byte, 0, n)
-	var scratch [8]byte
 	for _, e := range entries {
 		if len(e.ID) > 255 || len(e.Seq) > 255 || len(e.Sites) > 255 {
 			return nil, fmt.Errorf("core: candidate entry too large (id=%d seq=%d sites=%d)", len(e.ID), len(e.Seq), len(e.Sites))
 		}
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(e.Mass))
-		out = append(out, scratch[:8]...)
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(e.GID))
-		out = append(out, scratch[:4]...)
+		out = binfmt.F64(out, e.Mass)
+		out = binfmt.U32(out, uint32(e.GID))
 		out = append(out, byte(len(e.ID)), byte(len(e.Seq)), byte(len(e.Sites)))
 		out = append(out, e.ID...)
 		out = append(out, e.Seq...)
 		for _, s := range e.Sites {
-			out = append(out, byte(s.Pos), byte(s.Pos>>8), s.Mod)
+			out = binfmt.U8(binfmt.U16(out, s.Pos), s.Mod)
 		}
 	}
 	return out, nil
 }
 
+// unmarshalCands parses a blob produced by marshalCands. Entries are read
+// until the blob is exhausted; the sequences are copied, so the result
+// does not alias buf.
 func unmarshalCands(buf []byte) ([]candEntry, error) {
 	var out []candEntry
-	i := 0
-	for i < len(buf) {
-		if i+15 > len(buf) {
-			return nil, fmt.Errorf("core: truncated candidate header at byte %d", i)
-		}
-		mass := math.Float64frombits(binary.LittleEndian.Uint64(buf[i:]))
-		gid := int32(binary.LittleEndian.Uint32(buf[i+8:]))
-		idLen := int(buf[i+12])
-		seqLen := int(buf[i+13])
-		nSites := int(buf[i+14])
-		i += 15
-		need := idLen + seqLen + 3*nSites
-		if i+need > len(buf) {
-			return nil, fmt.Errorf("core: truncated candidate body at byte %d", i)
-		}
-		id := string(buf[i : i+idLen])
-		i += idLen
-		seq := make([]byte, seqLen)
-		copy(seq, buf[i:i+seqLen])
-		i += seqLen
-		var sites []digest.ModSite
+	r := binfmt.NewReader(buf, errWire)
+	for r.Len() > 0 {
+		e := candEntry{Mass: r.F64(), GID: r.I32()}
+		idLen, seqLen, nSites := int(r.U8()), int(r.U8()), int(r.U8())
+		e.ID = string(r.Bytes(idLen))
+		e.Seq = make([]byte, seqLen)
+		copy(e.Seq, r.Bytes(seqLen))
 		for s := 0; s < nSites; s++ {
-			sites = append(sites, digest.ModSite{
-				Pos: uint16(buf[i]) | uint16(buf[i+1])<<8,
-				Mod: buf[i+2],
-			})
-			i += 3
+			e.Sites = append(e.Sites, digest.ModSite{Pos: r.U16(), Mod: r.U8()})
 		}
-		out = append(out, candEntry{Mass: mass, GID: gid, ID: id, Seq: seq, Sites: sites})
+		out = append(out, e)
+	}
+	if err := r.Finish(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

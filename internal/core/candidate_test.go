@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -72,6 +74,43 @@ func TestCandWireTruncation(t *testing.T) {
 			t.Errorf("truncation at %d undetected", cut)
 		}
 	}
+}
+
+// FuzzUnmarshalCands: the candidate-block decoder never panics, rejects
+// every malformed blob with errWire, and every accepted blob re-encodes to
+// its exact input bytes (the block lengths the comm-volume pass charges).
+func FuzzUnmarshalCands(f *testing.F) {
+	for _, entries := range [][]candEntry{
+		nil,
+		{{Mass: 900, GID: 3, ID: "p", Seq: []byte("MKR"), Sites: []digest.ModSite{{Pos: 1, Mod: 0}}}},
+		{{Mass: 1042.5, GID: -1, ID: "PROT_A", Seq: []byte("PEPTIDEK")}, {Mass: 500, GID: 1 << 20, Seq: []byte("K"),
+			Sites: []digest.ModSite{{Pos: 0, Mod: 1}, {Pos: 300, Mod: 2}}}},
+	} {
+		buf, err := marshalCands(entries)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+		if len(buf) > 2 {
+			f.Add(buf[:len(buf)-2])
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		entries, err := unmarshalCands(b)
+		if err != nil {
+			if !errors.Is(err, errWire) {
+				t.Fatalf("error %v is not errWire", err)
+			}
+			return
+		}
+		re, err := marshalCands(entries)
+		if err != nil {
+			t.Fatalf("accepted blob does not re-encode: %v", err)
+		}
+		if !bytes.Equal(re, b) {
+			t.Fatal("accepted blob is not canonical")
+		}
+	})
 }
 
 // TestCandidateEngineAgrees is the headline correctness property: the

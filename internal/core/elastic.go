@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"sort"
 
+	"pepscale/internal/binfmt"
 	"pepscale/internal/ckpt"
 	"pepscale/internal/cluster"
 	"pepscale/internal/placement"
@@ -559,90 +560,40 @@ type admission struct {
 // new membership, the protein-index bases, and the window generations.
 func encodeAdmission(st *elasticState, newMembers []int, p0 int) []byte {
 	out := make([]byte, 0, 16+4*(len(st.plan.Members)+len(newMembers)+4*p0))
-	out = binary.LittleEndian.AppendUint32(out, uint32(st.s))
-	out = binary.LittleEndian.AppendUint32(out, uint32(st.eventIdx))
-	out = appendIntList(out, st.plan.Members)
-	out = appendIntList(out, newMembers)
+	out = binfmt.U32(out, uint32(st.s))
+	out = binfmt.U32(out, uint32(st.eventIdx))
+	out = binfmt.Ints(out, st.plan.Members)
+	out = binfmt.Ints(out, newMembers)
 	for _, v := range st.bases {
-		out = binary.LittleEndian.AppendUint32(out, uint32(v))
+		out = binfmt.U32(out, uint32(v))
 	}
 	for _, v := range st.gen {
-		out = binary.LittleEndian.AppendUint32(out, uint32(v))
+		out = binfmt.U32(out, uint32(v))
 	}
-	out = appendIntList(out, st.plan.BlockOwner)
-	out = appendIntList(out, st.plan.GroupOwner)
-	return out
+	out = binfmt.Ints(out, st.plan.BlockOwner)
+	return binfmt.Ints(out, st.plan.GroupOwner)
 }
 
 // decodeAdmission parses an admission payload (trusted intra-run data; the
 // checks below catch engine bugs, not adversarial input).
 func decodeAdmission(data []byte, p0 int) (*admission, error) {
-	cur := &intCursor{data: data}
-	ad := &admission{}
-	ad.step = cur.u32()
-	ad.eventIdx = cur.u32()
-	ad.oldMembers = cur.list()
-	ad.newMembers = cur.list()
-	ad.bases = make([]int32, p0)
+	r := binfmt.NewReader(data, errWire)
+	ad := &admission{step: int(r.U32()), eventIdx: int(r.U32()), oldMembers: r.Ints(), newMembers: r.Ints(),
+		bases: make([]int32, p0), gen: make([]int32, p0)}
 	for i := range ad.bases {
-		ad.bases[i] = int32(cur.u32())
+		ad.bases[i] = r.I32()
 	}
-	ad.gen = make([]int32, p0)
 	for i := range ad.gen {
-		ad.gen[i] = int32(cur.u32())
+		ad.gen[i] = r.I32()
 	}
-	ad.blockOwner = cur.list()
-	ad.groupOwner = cur.list()
-	if cur.err != nil {
-		return nil, cur.err
+	ad.blockOwner, ad.groupOwner = r.Ints(), r.Ints()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	if len(ad.blockOwner) != p0 || len(ad.groupOwner) != p0 {
-		return nil, fmt.Errorf("core: admission owner tables sized %d/%d, want %d", len(ad.blockOwner), len(ad.groupOwner), p0)
+		return nil, fmt.Errorf("%w: admission owner tables sized %d/%d, want %d", errWire, len(ad.blockOwner), len(ad.groupOwner), p0)
 	}
 	return ad, nil
-}
-
-// intCursor is a minimal little-endian reader for admission payloads.
-type intCursor struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (c *intCursor) u32() int {
-	if c.err != nil {
-		return 0
-	}
-	if c.off+4 > len(c.data) {
-		c.err = fmt.Errorf("core: admission payload truncated at %d", c.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(c.data[c.off:])
-	c.off += 4
-	return int(v)
-}
-
-func (c *intCursor) list() []int {
-	n := c.u32()
-	if c.err != nil || n > len(c.data) {
-		if c.err == nil {
-			c.err = fmt.Errorf("core: admission list length %d too large", n)
-		}
-		return nil
-	}
-	out := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, c.u32())
-	}
-	return out
-}
-
-func appendIntList(out []byte, vs []int) []byte {
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(vs)))
-	for _, v := range vs {
-		out = binary.LittleEndian.AppendUint32(out, uint32(v))
-	}
-	return out
 }
 
 // sortedGroupIDs returns the map's keys ascending — the deterministic

@@ -1,55 +1,45 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"math"
 
+	"pepscale/internal/binfmt"
 	"pepscale/internal/spectrum"
-	"pepscale/internal/topk"
 )
 
-// This file is the deterministic wire codec for everything the engines ship
-// between ranks: per-rank hit lists gathered to rank 0 and the master–worker
-// / sort-path query batches. Like the checkpoint codec (internal/ckpt), it
-// writes fixed little-endian fields with float bits via math.Float64bits, so
-// a blob — and therefore its length, which the tracer records as event
-// payload bytes — is a pure function of the encoded values. encoding/gob
-// cannot provide that: its wire type descriptors embed ids allocated from
-// process-global state on first encode, so concurrently encoding goroutines
-// race for id assignment and identical values may serialize to different
-// byte counts from one process to the next.
+// This file is the wire codec for everything the engines ship between
+// ranks: per-rank hit lists gathered to rank 0 and the master–worker /
+// sort-path query batches. Both follow the repository's one codec
+// discipline, internal/binfmt (which also owns the hit-list and spectrum
+// layouts), so a blob — and therefore its length, which the tracer records
+// as event payload bytes — is a pure function of the encoded values.
+// encoding/gob cannot provide that: its wire type descriptors embed ids
+// allocated from process-global state on first encode, so concurrently
+// encoding goroutines race for id assignment and identical values may
+// serialize to different byte counts from one process to the next.
 
-// errWire reports a result or batch blob that fails structural validation.
+// errWire reports a result, batch, admission or candidate blob that fails
+// structural validation.
 var errWire = errors.New("core: corrupt wire blob")
+
+// minResultBytes is the encoded size of a result with an empty identifier
+// and no hits: index, identifier length, parent mass and hit count.
+const minResultBytes = 4 + 4 + 8 + 4
 
 // encodeResults serializes per-query hit lists for the gather to rank 0.
 func encodeResults(rs []QueryResult) []byte {
 	n := 4
 	for i := range rs {
-		n += 4 + 4 + len(rs[i].ID) + 8 + 4
-		for j := range rs[i].Hits {
-			h := &rs[i].Hits[j]
-			n += 4 + len(h.Peptide) + 4 + 4 + len(h.ProteinID) + 8 + 8
-		}
+		n += 4 + 4 + len(rs[i].ID) + 8 + binfmt.HitsSize(rs[i].Hits)
 	}
 	b := make([]byte, 0, n)
-	b = wireU32(b, uint32(len(rs)))
+	b = binfmt.U32(b, uint32(len(rs)))
 	for i := range rs {
 		q := &rs[i]
-		b = wireU32(b, uint32(q.Index))
-		b = wireStr(b, q.ID)
-		b = wireF64(b, q.ParentMass)
-		b = wireU32(b, uint32(len(q.Hits)))
-		for j := range q.Hits {
-			h := &q.Hits[j]
-			b = wireStr(b, h.Peptide)
-			b = wireU32(b, uint32(h.Protein))
-			b = wireStr(b, h.ProteinID)
-			b = wireF64(b, h.Mass)
-			b = wireF64(b, h.Score)
-		}
+		b = binfmt.U32(b, uint32(q.Index))
+		b = binfmt.Str(b, q.ID)
+		b = binfmt.F64(b, q.ParentMass)
+		b = binfmt.AppendHits(b, q.Hits)
 	}
 	return b
 }
@@ -60,46 +50,13 @@ func decodeResults(b []byte) ([]QueryResult, error) {
 	if len(b) == 0 {
 		return nil, nil
 	}
-	d := wireReader{b: b}
-	nq := d.u32()
-	if d.err == nil && int64(nq) > int64(len(b)) {
-		return nil, fmt.Errorf("%w: query count %d exceeds blob size", errWire, nq)
+	r := binfmt.NewReader(b, errWire)
+	rs := make([]QueryResult, r.Count(minResultBytes))
+	for i := range rs {
+		rs[i] = QueryResult{Index: int(r.I32()), ID: r.Str(), ParentMass: r.F64(), Hits: r.Hits()}
 	}
-	var rs []QueryResult
-	if d.err == nil {
-		rs = make([]QueryResult, nq)
-	}
-	for i := 0; d.err == nil && i < int(nq); i++ {
-		rs[i].Index = int(int32(d.u32()))
-		rs[i].ID = d.str()
-		rs[i].ParentMass = d.f64()
-		nh := d.u32()
-		if d.err != nil {
-			break
-		}
-		if int64(nh) > int64(len(b)) {
-			return nil, fmt.Errorf("%w: hit count %d exceeds blob size", errWire, nh)
-		}
-		if nh == 0 {
-			continue
-		}
-		hits := make([]topk.Hit, nh)
-		for j := 0; d.err == nil && j < int(nh); j++ {
-			hits[j] = topk.Hit{
-				Peptide:   d.str(),
-				Protein:   int32(d.u32()),
-				ProteinID: d.str(),
-				Mass:      d.f64(),
-				Score:     d.f64(),
-			}
-		}
-		rs[i].Hits = hits
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", errWire, len(d.b))
+	if err := r.Finish(); err != nil {
+		return nil, err
 	}
 	return rs, nil
 }
@@ -108,23 +65,16 @@ func decodeResults(b []byte) ([]QueryResult, error) {
 func encodeBatch(m batchMsg) []byte {
 	n := 4 + 4*len(m.Indices) + 4
 	for _, s := range m.Specs {
-		n += 4 + len(s.ID) + 8 + 4 + 4 + 16*len(s.Peaks)
+		n += binfmt.SpectrumSize(s)
 	}
 	b := make([]byte, 0, n)
-	b = wireU32(b, uint32(len(m.Indices)))
+	b = binfmt.U32(b, uint32(len(m.Indices)))
 	for _, idx := range m.Indices {
-		b = wireU32(b, uint32(idx))
+		b = binfmt.U32(b, uint32(idx))
 	}
-	b = wireU32(b, uint32(len(m.Specs)))
+	b = binfmt.U32(b, uint32(len(m.Specs)))
 	for _, s := range m.Specs {
-		b = wireStr(b, s.ID)
-		b = wireF64(b, s.PrecursorMZ)
-		b = wireU32(b, uint32(s.Charge))
-		b = wireU32(b, uint32(len(s.Peaks)))
-		for _, p := range s.Peaks {
-			b = wireF64(b, p.MZ)
-			b = wireF64(b, p.Intensity)
-		}
+		b = binfmt.AppendSpectrum(b, s)
 	}
 	return b
 }
@@ -135,110 +85,21 @@ func decodeBatch(b []byte) (batchMsg, error) {
 	if len(b) == 0 {
 		return m, nil
 	}
-	d := wireReader{b: b}
-	ni := d.u32()
-	if d.err == nil && int64(ni)*4 > int64(len(d.b)) {
-		return m, fmt.Errorf("%w: index count %d exceeds blob size", errWire, ni)
-	}
-	if d.err == nil && ni > 0 {
-		m.Indices = make([]int, ni)
+	r := binfmt.NewReader(b, errWire)
+	if n := r.Count(4); n > 0 {
+		m.Indices = make([]int, n)
 		for i := range m.Indices {
-			m.Indices[i] = int(int32(d.u32()))
+			m.Indices[i] = int(r.I32())
 		}
 	}
-	ns := d.u32()
-	if d.err == nil && int64(ns) > int64(len(b)) {
-		return m, fmt.Errorf("%w: spectrum count %d exceeds blob size", errWire, ns)
-	}
-	if d.err == nil && ns > 0 {
-		m.Specs = make([]*spectrum.Spectrum, ns)
-	}
-	for i := 0; d.err == nil && i < int(ns); i++ {
-		s := &spectrum.Spectrum{
-			ID:          d.str(),
-			PrecursorMZ: d.f64(),
-			Charge:      int(int32(d.u32())),
+	if n := r.Count(binfmt.MinSpectrumBytes); n > 0 {
+		m.Specs = make([]*spectrum.Spectrum, n)
+		for i := range m.Specs {
+			m.Specs[i] = r.Spectrum()
 		}
-		np := d.u32()
-		if d.err != nil {
-			break
-		}
-		if int64(np)*16 > int64(len(d.b)) {
-			return m, fmt.Errorf("%w: peak count %d exceeds blob size", errWire, np)
-		}
-		if np > 0 {
-			s.Peaks = make([]spectrum.Peak, np)
-			for j := range s.Peaks {
-				s.Peaks[j].MZ = d.f64()
-				s.Peaks[j].Intensity = d.f64()
-			}
-		}
-		m.Specs[i] = s
 	}
-	if d.err != nil {
-		return batchMsg{}, d.err
-	}
-	if len(d.b) != 0 {
-		return batchMsg{}, fmt.Errorf("%w: %d trailing bytes", errWire, len(d.b))
+	if err := r.Finish(); err != nil {
+		return batchMsg{}, err
 	}
 	return m, nil
-}
-
-func wireU32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-func wireF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-func wireStr(b []byte, s string) []byte {
-	b = wireU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-// wireReader is a sticky-error little-endian cursor over a wire blob.
-type wireReader struct {
-	b   []byte
-	err error
-}
-
-func (d *wireReader) u32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 4 {
-		d.err = fmt.Errorf("%w: truncated", errWire)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-
-func (d *wireReader) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 8 {
-		d.err = fmt.Errorf("%w: truncated", errWire)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *wireReader) str() string {
-	n := d.u32()
-	if d.err != nil {
-		return ""
-	}
-	if uint64(n) > uint64(len(d.b)) {
-		d.err = fmt.Errorf("%w: truncated string of %d bytes", errWire, n)
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
 }

@@ -213,3 +213,45 @@ func TestHeaderWithTabs(t *testing.T) {
 		t.Errorf("tab header: %+v", recs[0])
 	}
 }
+
+// FuzzRanges is the boundary-repair invariant of the parallel load (steps
+// A1/B1) over arbitrary bytes: for any input and any partition count p,
+// parsing the p ranges of Ranges(data, p) independently and concatenating
+// the records must equal ParseBytes(data), and an input ParseBytes rejects
+// must be rejected by some range.
+func FuzzRanges(f *testing.F) {
+	f.Add([]byte(">sp|P1|FIRST first protein\nMKVL\nAGH\n>P2\nacdef\n"), uint8(2))
+	f.Add([]byte("\r\n>A desc here\r\nMK*\r\n>B\nML"), uint8(5))
+	f.Add([]byte("garbage>A\nMK\n>B\nK\n"), uint8(3))
+	f.Add([]byte("\n\n>A\nMK1L\n>B\nKK\n"), uint8(7))
+	f.Add(Marshal(genRecords(11, 6)), uint8(4))
+	f.Fuzz(func(t *testing.T, data []byte, p8 uint8) {
+		p := int(p8%16) + 1
+		want, werr := ParseBytes(data)
+		var got []Record
+		var gerr error
+		for _, rg := range Ranges(data, p) {
+			part, err := ParseRange(data, rg)
+			if err != nil {
+				if !errors.Is(err, ErrMalformed) {
+					t.Fatalf("range %+v: error %v does not wrap ErrMalformed", rg, err)
+				}
+				gerr = err
+				continue
+			}
+			got = append(got, part...)
+		}
+		if werr != nil {
+			if gerr == nil {
+				t.Fatalf("ParseBytes rejects the input (%v) but every range parses", werr)
+			}
+			return
+		}
+		if gerr != nil {
+			t.Fatalf("a range fails (%v) but ParseBytes accepts the input", gerr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("p=%d: ranges parse to %d records, ParseBytes to %d", p, len(got), len(want))
+		}
+	})
+}

@@ -128,6 +128,25 @@ func TestUnknownAndOutOfOrder(t *testing.T) {
 	if err := s.Submit(1, "acme", pool[0]); err != nil {
 		t.Fatal(err)
 	}
+	// Non-finite arrivals are rejected before any state changes, on the
+	// direct path and through the untrusted frame path alike.
+	before := s.Metrics()
+	for _, at := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var ae *ArrivalError
+		if err := s.Submit(at, "acme", pool[1]); !errors.As(err, &ae) {
+			t.Errorf("submit at %v returned %v", at, err)
+		}
+		frame := (&SubmitFrame{Tenant: "acme", AtSec: at, Spec: pool[1]}).Encode()
+		if err := s.SubmitFrame(frame); !errors.As(err, &ae) {
+			t.Errorf("frame at %v returned %v", at, err)
+		}
+		if _, ok := IsRetryable(&ArrivalError{AtSec: at}); ok {
+			t.Errorf("arrival at %v classified as retryable backpressure", at)
+		}
+	}
+	if got := s.Metrics(); got != before {
+		t.Errorf("non-finite arrivals changed the counters: %+v, want %+v", got, before)
+	}
 	var oo *OutOfOrderError
 	if err := s.Submit(0.5, "acme", pool[1]); !errors.As(err, &oo) {
 		t.Errorf("out-of-order submit returned %v", err)

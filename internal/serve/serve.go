@@ -341,17 +341,22 @@ func (s *Server) fail(err error) error {
 	return s.failed
 }
 
-// Submit offers one query spectrum for tenant at virtual time at (non-
-// decreasing across calls). It returns nil on admission, a typed
-// *QuotaError or *QueueFullError rejection under backpressure, or the
-// service's fatal error. Admission never blocks: the scan loop runs only
-// inside the event-time advance, and a rejected submit changes no state.
+// Submit offers one query spectrum for tenant at virtual time at (finite
+// and non-decreasing across calls). It returns nil on admission, a typed
+// *QuotaError or *QueueFullError rejection under backpressure, a typed
+// *ArrivalError, *OutOfOrderError or *UnknownTenantError for a submit that
+// can never be admitted, or the service's fatal error. Admission never
+// blocks: the scan loop runs only inside the event-time advance, and a
+// rejected submit changes no state.
 func (s *Server) Submit(at float64, tenantName string, spec *spectrum.Spectrum) error {
 	if s.failed != nil {
 		return s.failed
 	}
 	if spec == nil {
 		return fmt.Errorf("serve: nil spectrum")
+	}
+	if math.IsNaN(at) || math.IsInf(at, 0) {
+		return &ArrivalError{AtSec: at}
 	}
 	if at < s.lastSubmit {
 		return &OutOfOrderError{AtSec: at, LastSec: s.lastSubmit}

@@ -98,6 +98,16 @@ func (e *OutOfOrderError) Error() string {
 	return fmt.Sprintf("serve: out-of-order submit at %.6fs (last %.6fs)", e.AtSec, e.LastSec)
 }
 
+// ArrivalError rejects a submit whose arrival time is NaN or infinite: such
+// an instant cannot be ordered on the virtual clock, and the event-time
+// advance would never reach it. It is not retryable.
+type ArrivalError struct{ AtSec float64 }
+
+// Error implements error.
+func (e *ArrivalError) Error() string {
+	return fmt.Sprintf("serve: non-finite arrival time %v", e.AtSec)
+}
+
 // IsRetryable reports whether err is a backpressure rejection (quota or
 // queue) rather than a fatal service error, and returns its retry-after.
 func IsRetryable(err error) (retryAfterSec float64, ok bool) {

@@ -1,29 +1,27 @@
 // The client wire codec: submission and result frames for pepd sessions.
 //
-// Frames follow the repository's deterministic codec discipline (internal/
-// ckpt, internal/core wire.go): a magic/version header, fixed little-endian
-// fields, float bits via math.Float64bits, and a strict decoder that
-// accepts only canonical blobs — every accepted frame re-encodes to the
-// exact input bytes, which the fuzz targets pin. A frame's length is a pure
-// function of its values, so traced frame bytes are replayable.
+// Frames follow the repository's one codec discipline, internal/binfmt: a
+// magic/version header, fixed little-endian fields, float bits, binfmt's
+// shared spectrum and hit-list layouts, and a strict decoder that accepts
+// only canonical blobs — every accepted frame re-encodes to the exact input
+// bytes, which the fuzz targets pin. A frame's length is a pure function of
+// its values, so traced frame bytes are replayable.
 package serve
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
+	"pepscale/internal/binfmt"
 	"pepscale/internal/spectrum"
 	"pepscale/internal/topk"
 )
 
 // Frame magics ("PSUB", "PRES" little-endian) and the codec version.
 const (
-	submitMagic  = uint32('P') | uint32('S')<<8 | uint32('U')<<16 | uint32('B')<<24
-	resultMagic  = uint32('P') | uint32('R')<<8 | uint32('E')<<16 | uint32('S')<<24
-	wireVersion  = 1
-	peakWireSize = 16 // two float64s
+	submitMagic = uint32('P') | uint32('S')<<8 | uint32('U')<<16 | uint32('B')<<24
+	resultMagic = uint32('P') | uint32('R')<<8 | uint32('E')<<16 | uint32('S')<<24
+	wireVersion = 1
 )
 
 // errFrame reports a frame that fails structural validation.
@@ -59,197 +57,59 @@ type ResultFrame struct {
 
 // Encode serializes the submission frame.
 func (f *SubmitFrame) Encode() []byte {
-	sp := f.Spec
-	n := 4 + 4 + 4 + len(f.Tenant) + 8 + 8 + 4 + len(sp.ID) + 8 + 4 + 4 + peakWireSize*len(sp.Peaks)
-	b := make([]byte, 0, n)
-	b = binary.LittleEndian.AppendUint32(b, submitMagic)
-	b = binary.LittleEndian.AppendUint32(b, wireVersion)
-	b = frameStr(b, f.Tenant)
-	b = binary.LittleEndian.AppendUint64(b, f.Seq)
-	b = frameF64(b, f.AtSec)
-	b = frameStr(b, sp.ID)
-	b = frameF64(b, sp.PrecursorMZ)
-	b = binary.LittleEndian.AppendUint32(b, uint32(sp.Charge))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(sp.Peaks)))
-	for _, p := range sp.Peaks {
-		b = frameF64(b, p.MZ)
-		b = frameF64(b, p.Intensity)
-	}
-	return b
+	b := make([]byte, 0, 4+4+4+len(f.Tenant)+8+8+binfmt.SpectrumSize(f.Spec))
+	b = binfmt.U32(b, submitMagic)
+	b = binfmt.U32(b, wireVersion)
+	b = binfmt.Str(b, f.Tenant)
+	b = binfmt.U64(b, f.Seq)
+	b = binfmt.F64(b, f.AtSec)
+	return binfmt.AppendSpectrum(b, f.Spec)
 }
 
 // DecodeSubmit parses a submission frame, rejecting any non-canonical blob
 // (bad magic or version, truncation, trailing bytes, or oversized counts).
 func DecodeSubmit(b []byte) (*SubmitFrame, error) {
-	r := &frameReader{data: b}
-	if m := r.u32(); m != submitMagic {
-		return nil, fmt.Errorf("%w: bad submit magic %#x", errFrame, m)
+	r := binfmt.NewReader(b, errFrame)
+	if err := readHeader(&r, submitMagic, "submit"); err != nil {
+		return nil, err
 	}
-	if v := r.u32(); v != wireVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", errFrame, v)
-	}
-	f := &SubmitFrame{Spec: &spectrum.Spectrum{}}
-	f.Tenant = r.str()
-	f.Seq = r.u64()
-	f.AtSec = r.f64()
-	f.Spec.ID = r.str()
-	f.Spec.PrecursorMZ = r.f64()
-	f.Spec.Charge = int(r.u32())
-	np := int(r.u32())
-	if r.err == nil && np > r.remaining()/peakWireSize {
-		r.err = fmt.Errorf("%w: peak count %d overruns frame", errFrame, np)
-	}
-	if r.err == nil && np > 0 {
-		f.Spec.Peaks = make([]spectrum.Peak, np)
-		for i := range f.Spec.Peaks {
-			f.Spec.Peaks[i] = spectrum.Peak{MZ: r.f64(), Intensity: r.f64()}
-		}
-	}
-	return f, r.finish()
+	f := &SubmitFrame{Tenant: r.Str(), Seq: r.U64(), AtSec: r.F64(), Spec: r.Spectrum()}
+	return f, r.Finish()
 }
 
 // Encode serializes the result frame.
 func (f *ResultFrame) Encode() []byte {
-	n := 4 + 4 + 4 + len(f.Tenant) + 8 + 4 + 4 + len(f.QueryID) + 8 + 8 + 4
-	for i := range f.Hits {
-		n += 4 + len(f.Hits[i].Peptide) + 4 + 4 + len(f.Hits[i].ProteinID) + 8 + 8
-	}
-	b := make([]byte, 0, n)
-	b = binary.LittleEndian.AppendUint32(b, resultMagic)
-	b = binary.LittleEndian.AppendUint32(b, wireVersion)
-	b = frameStr(b, f.Tenant)
-	b = binary.LittleEndian.AppendUint64(b, f.Seq)
-	b = binary.LittleEndian.AppendUint32(b, uint32(f.Batch))
-	b = frameStr(b, f.QueryID)
-	b = frameF64(b, f.ArriveSec)
-	b = frameF64(b, f.DoneSec)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Hits)))
-	for i := range f.Hits {
-		h := &f.Hits[i]
-		b = frameStr(b, h.Peptide)
-		b = binary.LittleEndian.AppendUint32(b, uint32(h.Protein))
-		b = frameStr(b, h.ProteinID)
-		b = frameF64(b, h.Mass)
-		b = frameF64(b, h.Score)
-	}
-	return b
+	b := make([]byte, 0, 4+4+4+len(f.Tenant)+8+4+4+len(f.QueryID)+8+8+binfmt.HitsSize(f.Hits))
+	b = binfmt.U32(b, resultMagic)
+	b = binfmt.U32(b, wireVersion)
+	b = binfmt.Str(b, f.Tenant)
+	b = binfmt.U64(b, f.Seq)
+	b = binfmt.U32(b, uint32(f.Batch))
+	b = binfmt.Str(b, f.QueryID)
+	b = binfmt.F64(b, f.ArriveSec)
+	b = binfmt.F64(b, f.DoneSec)
+	return binfmt.AppendHits(b, f.Hits)
 }
 
 // DecodeResult parses a result frame under the same canonical-only rules as
 // DecodeSubmit.
 func DecodeResult(b []byte) (*ResultFrame, error) {
-	r := &frameReader{data: b}
-	if m := r.u32(); m != resultMagic {
-		return nil, fmt.Errorf("%w: bad result magic %#x", errFrame, m)
+	r := binfmt.NewReader(b, errFrame)
+	if err := readHeader(&r, resultMagic, "result"); err != nil {
+		return nil, err
 	}
-	if v := r.u32(); v != wireVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", errFrame, v)
-	}
-	f := &ResultFrame{}
-	f.Tenant = r.str()
-	f.Seq = r.u64()
-	f.Batch = int32(r.u32())
-	f.QueryID = r.str()
-	f.ArriveSec = r.f64()
-	f.DoneSec = r.f64()
-	nh := int(r.u32())
-	// A hit is at least 28 bytes (two empty strings); the bound keeps a
-	// hostile count from allocating unboundedly before the read fails.
-	if r.err == nil && nh > r.remaining()/28 {
-		r.err = fmt.Errorf("%w: hit count %d overruns frame", errFrame, nh)
-	}
-	if r.err == nil && nh > 0 {
-		f.Hits = make([]topk.Hit, nh)
-		for i := range f.Hits {
-			f.Hits[i] = topk.Hit{
-				Peptide:   r.str(),
-				Protein:   int32(r.u32()),
-				ProteinID: r.str(),
-				Mass:      r.f64(),
-				Score:     r.f64(),
-			}
-		}
-	}
-	return f, r.finish()
+	f := &ResultFrame{Tenant: r.Str(), Seq: r.U64(), Batch: r.I32(), QueryID: r.Str(),
+		ArriveSec: r.F64(), DoneSec: r.F64(), Hits: r.Hits()}
+	return f, r.Finish()
 }
 
-// frameStr appends a length-prefixed string.
-func frameStr(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-// frameF64 appends a float64 by bits.
-func frameF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-// frameReader is the sticky-error cursor shared by both decoders.
-type frameReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *frameReader) remaining() int { return len(r.data) - r.off }
-
-func (r *frameReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated %s at offset %d", errFrame, what, r.off)
+// readHeader checks a frame's magic and codec version.
+func readHeader(r *binfmt.Reader, magic uint32, kind string) error {
+	if m := r.U32(); m != magic {
+		return fmt.Errorf("%w: bad %s magic %#x", errFrame, kind, m)
 	}
-}
-
-func (r *frameReader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.remaining() < 4 {
-		r.fail("u32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.data[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *frameReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.remaining() < 8 {
-		r.fail("u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *frameReader) f64() float64 {
-	return math.Float64frombits(r.u64())
-}
-
-func (r *frameReader) str() string {
-	n := int(r.u32())
-	if r.err != nil {
-		return ""
-	}
-	if n > r.remaining() {
-		r.fail("string")
-		return ""
-	}
-	s := string(r.data[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-// finish enforces full consumption: trailing bytes are non-canonical.
-func (r *frameReader) finish() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.data) {
-		return fmt.Errorf("%w: %d trailing bytes", errFrame, len(r.data)-r.off)
+	if v := r.U32(); v != wireVersion {
+		return fmt.Errorf("%w: unsupported version %d", errFrame, v)
 	}
 	return nil
 }

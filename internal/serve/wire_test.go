@@ -48,6 +48,8 @@ func TestWireRoundTrip(t *testing.T) {
 	subs := []*SubmitFrame{
 		fuzzSeedSubmit(),
 		{Tenant: "", Seq: 0, AtSec: 0, Spec: &spectrum.Spectrum{}},
+		// Charge is a signed field, as in core's query batches.
+		{Tenant: "acme", Seq: 1, AtSec: 0.5, Spec: &spectrum.Spectrum{ID: "neg", Charge: -1}},
 	}
 	for i, f := range subs {
 		got, err := DecodeSubmit(f.Encode())
@@ -88,8 +90,8 @@ func TestWireRejects(t *testing.T) {
 	// Peak-count overrun: a canonical header claiming 2^31 peaks with no
 	// payload behind it.
 	over := append([]byte{}, valid...)
-	over = over[:len(over)-2*peakWireSize] // strip the peak payload
-	over[len(over)-4] = 0xff               // count field now absurd
+	over = over[:len(over)-2*16] // strip the two 16-byte peaks
+	over[len(over)-4] = 0xff     // count field now absurd
 	over[len(over)-3] = 0xff
 	over[len(over)-2] = 0xff
 	over[len(over)-1] = 0x7f

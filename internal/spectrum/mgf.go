@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -73,7 +74,7 @@ func ParseMGF(r io.Reader) ([]*Spectrum, error) {
 			if len(fields) == 0 {
 				return nil, fmt.Errorf("%w: empty PEPMASS at line %d", ErrMGF, line)
 			}
-			v, err := strconv.ParseFloat(fields[0], 64)
+			v, err := parseFinite(fields[0])
 			if err != nil {
 				return nil, fmt.Errorf("%w: PEPMASS at line %d: %v", ErrMGF, line, err)
 			}
@@ -94,8 +95,8 @@ func ParseMGF(r io.Reader) ([]*Spectrum, error) {
 			if len(fields) < 2 {
 				return nil, fmt.Errorf("%w: peak line %d needs m/z and intensity", ErrMGF, line)
 			}
-			mz, err1 := strconv.ParseFloat(fields[0], 64)
-			in, err2 := strconv.ParseFloat(fields[1], 64)
+			mz, err1 := parseFinite(fields[0])
+			in, err2 := parseFinite(fields[1])
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("%w: peak line %d", ErrMGF, line)
 			}
@@ -109,4 +110,15 @@ func ParseMGF(r io.Reader) ([]*Spectrum, error) {
 		return nil, fmt.Errorf("%w: unterminated BEGIN IONS", ErrMGF)
 	}
 	return specs, nil
+}
+
+// parseFinite parses a float and rejects NaN and ±Inf, which
+// strconv.ParseFloat accepts but which no m/z or intensity can be: a NaN
+// peak would also defeat the ascending-m/z order the scorers rely on.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("non-finite value %q", s)
+	}
+	return v, err
 }
