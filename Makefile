@@ -100,10 +100,11 @@ fuzz-short:
 
 # cover enforces the checked-in statement-coverage floor
 # (.coverage-threshold) over the simulation, observability, recovery,
-# serving, and binary-codec packages.
+# serving, binary-codec, and block-index (digest, fragidx) packages.
 cover:
 	$(GO) test -coverprofile=coverage.out ./internal/cluster/ ./internal/core/ ./internal/trace/ \
-		./internal/serve/ ./internal/placement/ ./internal/ckpt/ ./internal/binfmt/
+		./internal/serve/ ./internal/placement/ ./internal/ckpt/ ./internal/binfmt/ \
+		./internal/fragidx/ ./internal/digest/
 	@total=$$($(GO) tool cover -func=coverage.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
 	min=$$(cat .coverage-threshold); \
 	echo "coverage: $$total% of statements (floor: $$min%)"; \

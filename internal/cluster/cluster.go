@@ -70,11 +70,13 @@ type Machine struct {
 	world *commShared
 
 	// Membership state behind memberMu: which ranks of the universe are
-	// currently active. Sized to the universe at construction and only ever
-	// flipped through markActive's bounds checks, so admission can never
-	// index past the per-rank arrays.
-	memberMu sync.Mutex
-	active   []bool
+	// currently active, and which active ranks have announced a departure
+	// (see Rank.AnnounceDeparture). Sized to the universe at construction
+	// and only ever flipped through bounds-checked methods, so admission can
+	// never index past the per-rank arrays.
+	memberMu  sync.Mutex
+	active    []bool
+	departing []bool
 
 	// groups memoizes sub-communicators built by Rank.Group, keyed by the
 	// sorted member list so every member of one epoch shares a single
@@ -184,6 +186,7 @@ const (
 	blockRecv             // waiting for a message from peer (any if peer < 0)
 	blockWindow           // waiting for peer to expose the named window
 	blockColl             // waiting at a collective rendezvous round
+	blockDepart           // Admit waiting for peer's announced departure
 )
 
 // blockInfo records what a parked rank is waiting for, feeding the
@@ -237,6 +240,7 @@ func New(cfg Config) (*Machine, error) {
 		notifyCh:        make(chan struct{}),
 	}
 	m.active = make([]bool, cfg.Ranks)
+	m.departing = make([]bool, cfg.Ranks)
 	if cfg.Members == nil {
 		for i := range m.active {
 			m.active[i] = true
@@ -503,6 +507,10 @@ func (m *Machine) mayUnblock(i, nCan int) bool {
 		// An exposed window unblocks the waiter with data; a failed or
 		// finished owner unblocks it with an error return.
 		return m.anWinOpen[i] || m.anFailed[b.peer] || m.anDone[b.peer] || m.anCan[b.peer]
+	case blockDepart:
+		// The departure needs only the leaver's next host step; a failed or
+		// finished leaver unblocks the admitter with an unwind or a panic.
+		return m.anFailed[b.peer] || m.anDone[b.peer] || m.anCan[b.peer]
 	case blockColl:
 		// The rendezvous completes only if every member that has not yet
 		// arrived at this round can still arrive.
@@ -801,6 +809,7 @@ func (m *Machine) Reset() {
 	m.memberMu.Lock()
 	for i := range m.active {
 		m.active[i] = m.cfg.Members == nil
+		m.departing[i] = false
 	}
 	if m.cfg.Members != nil {
 		for _, id := range m.cfg.Members {

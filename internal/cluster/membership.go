@@ -297,26 +297,46 @@ func (m *Machine) ActiveCount() int {
 
 // markActive flips rank id's membership bit, rejecting out-of-range ids and
 // no-op transitions so admission can never index past the universe or
-// double-admit.
+// double-admit. Going dormant completes any announced departure and wakes
+// the admitters waiting for it.
 func (m *Machine) markActive(id int, active bool) error {
 	if id < 0 || id >= m.cfg.Ranks {
 		return fmt.Errorf("cluster: membership change for rank %d outside universe [0,%d)", id, m.cfg.Ranks)
 	}
 	m.memberMu.Lock()
-	defer m.memberMu.Unlock()
 	if m.active[id] == active {
+		m.memberMu.Unlock()
 		return fmt.Errorf("cluster: rank %d already %s", id, map[bool]string{true: "active", false: "dormant"}[active])
 	}
 	m.active[id] = active
+	m.departing[id] = false
+	m.memberMu.Unlock()
+	if !active {
+		m.broadcast()
+	}
 	return nil
+}
+
+// departPending reports whether rank id is active with an announced
+// departure that has not landed yet.
+func (m *Machine) departPending(id int) bool {
+	if id < 0 || id >= m.cfg.Ranks {
+		return false
+	}
+	m.memberMu.Lock()
+	defer m.memberMu.Unlock()
+	return m.active[id] && m.departing[id]
 }
 
 // Admit activates dormant rank `to` and hands it payload as its admission
 // state. The message transfer is charged like any Send, so the joiner's
-// clock advances to the admission's arrival time. Admitting an active or
-// out-of-universe rank panics: it is a program error on par with sending to
-// an invalid rank.
+// clock advances to the admission's arrival time. If `to` has announced a
+// departure that has not landed yet (see AnnounceDeparture), Admit first
+// waits host-side for the Depart; the wait is free on the virtual clock.
+// Admitting any other active rank, or an out-of-universe rank, panics at
+// once: it is a program error on par with sending to an invalid rank.
 func (r *Rank) Admit(to int, payload []byte) {
+	r.awaitDeparture(to)
 	if err := r.m.markActive(to, true); err != nil {
 		panic(err.Error())
 	}
@@ -324,6 +344,61 @@ func (r *Rank) Admit(to int, payload []byte) {
 		r.Mark("admit", fmt.Sprintf("rank %d admitted by %d", to, r.id))
 	}
 	r.Send(to, admitTag, payload)
+}
+
+// awaitDeparture parks the caller until rank `to` has no pending departure.
+// The leaver needs only host steps to Depart, so the wait ends as soon as
+// its goroutine runs; a leaver that fails unwinds the caller as a survivor,
+// and one that finishes without departing leaves `to` active for Admit to
+// reject.
+func (r *Rank) awaitDeparture(to int) {
+	m := r.m
+	if !m.departPending(to) {
+		return
+	}
+	defer m.clearBlocked(r.id)
+	for {
+		ch := m.notified() // grab before re-checking to avoid lost wakeups
+		if !m.departPending(to) {
+			return
+		}
+		// A failing body is marked failed before it is marked finished, so
+		// a finished leaver read first has its failure visible below.
+		finished := m.bodyFinished(to)
+		if m.isFailed(to) {
+			r.interrupted()
+		}
+		if finished {
+			return
+		}
+		if m.hasFailure() {
+			m.setBlocked(r.id, blockInfo{kind: blockDepart, peer: to})
+			if m.shouldUnwind(r.id) {
+				r.interrupted()
+			}
+		}
+		select {
+		case <-ch:
+		case <-m.abort:
+			r.interrupted()
+		}
+	}
+}
+
+// AnnounceDeparture declares that the calling rank will Depart. It costs
+// nothing on the virtual clock and emits no trace event. Its purpose is
+// host-side ordering: call it before the last synchronization the
+// departure follows (the elastic engine calls it before a boundary's union
+// barrier), and an Admit of this rank that the host runs before the Depart
+// lands waits for it instead of failing with "already active".
+func (r *Rank) AnnounceDeparture() {
+	m := r.m
+	m.memberMu.Lock()
+	defer m.memberMu.Unlock()
+	if !m.active[r.id] {
+		panic(fmt.Sprintf("cluster: dormant rank %d announced a departure", r.id))
+	}
+	m.departing[r.id] = true
 }
 
 // Depart marks the calling rank dormant again (a graceful leave). The

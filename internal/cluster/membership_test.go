@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMembershipPlanValidate(t *testing.T) {
@@ -254,6 +255,70 @@ func TestAdmitRejectsBadTargets(t *testing.T) {
 	})
 	if rep.Err == nil || !rep.Fatal {
 		t.Fatalf("out-of-universe admission not fatal: %+v", rep)
+	}
+}
+
+// TestAdmitWaitsForAnnouncedDeparture: a leaver that announced its
+// departure before a barrier may Depart after the admitter, released by the
+// same barrier, has already called Admit. The Admit must wait for the
+// Depart rather than reject an "already active" rank; if the leaver crashes
+// instead, the admitter unwinds as a survivor of a recoverable failure; if
+// it finishes without departing, the admission is still a program error.
+func TestAdmitWaitsForAnnouncedDeparture(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		leaver func(r *Rank) error
+		check  func(t *testing.T, rep *RunReport)
+	}{
+		{"departs", func(r *Rank) error {
+			r.Depart()
+			if payload, ok := r.AwaitAdmission(); !ok || !bytes.Equal(payload, []byte{7}) {
+				return errors.New("re-admission lost its payload")
+			}
+			return nil
+		}, func(t *testing.T, rep *RunReport) {
+			if !rep.OK() {
+				t.Fatalf("admission of a departing rank failed: %v", rep.Err)
+			}
+		}},
+		{"crashes", func(r *Rank) error {
+			r.Compute(1)
+			r.Send(0, "never", nil) // the crash fires at this primitive
+			return nil
+		}, func(t *testing.T, rep *RunReport) {
+			if !rep.Recoverable() || !reflect.DeepEqual(rep.FailedRanks, []int{1}) {
+				t.Fatalf("crashed leaver: want a recoverable failure of rank 1, got %+v", rep)
+			}
+		}},
+		{"stays", func(r *Rank) error {
+			return nil
+		}, func(t *testing.T, rep *RunReport) {
+			if !rep.Fatal || !strings.Contains(rep.Err.Error(), "already active") {
+				t.Fatalf("admission of a rank that never departed: want a fatal error, got %+v", rep)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := New(Config{Ranks: 2, Fault: &FaultPlan{CrashAtTime: map[int]float64{1: 0.5}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := m.RunWithReport(func(r *Rank) error {
+				if r.ID() == 1 {
+					r.AnnounceDeparture()
+				}
+				r.Barrier()
+				if r.ID() == 0 {
+					r.Admit(1, []byte{7})
+					return nil
+				}
+				// Let the admitter reach Admit first: the order the host
+				// scheduler only sometimes produces.
+				time.Sleep(20 * time.Millisecond)
+				return tc.leaver(r)
+			})
+			tc.check(t, rep)
+		})
 	}
 }
 

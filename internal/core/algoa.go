@@ -107,8 +107,8 @@ func loadPhaseOpts(r *cluster.Rank, in Input, opt Options, cache *indexCache, bl
 }
 
 // processBlock digests a block into its mass index (memoized host-side per
-// run; the clock still charges each rank), scans all given queries against
-// it, and charges the digestion, scoring, and reporting costs. key is the
+// run, like the block's fragment index; the clock still charges each rank
+// the digestion), scans all given queries against it, and charges the digestion, scoring, and reporting costs. key is the
 // block's precomputed cache identity (see blockKey) — threading it through
 // the transport loops avoids re-hashing every transported block's bytes on
 // every iteration. It returns the candidate count.
@@ -123,7 +123,7 @@ func processBlock(r *cluster.Rank, l *loaded, opt Options, qs []*score.Query, li
 	}
 	r.Compute(cost.DigestSecPerResidue * float64(fasta.TotalResidues(recs)))
 	r.NoteAlloc(ixBytes)
-	st := l.scan.scan(qs, lists, ix, l.sc, opt, idOf)
+	st := l.scan.scan(qs, lists, ix, l.cache.fragIndexFor(key, ix, opt), l.sc, opt, idOf)
 	r.Compute(scanComputeSec(cost, l.sc, st))
 	r.NoteFree(ixBytes)
 	return st.Candidates, nil

@@ -68,7 +68,7 @@ func NewBackend(db []byte, opt Options, blocks int) (*Backend, error) {
 		layout: layout{gen: make([]int32, blocks), bases: make([]int32, blocks)},
 		opt:    opt,
 		p0:     blocks,
-		pt:     newPartition(db, blocks),
+		pt:     newPartition(db, blocks, newIndexCache()),
 		store:  ckpt.NewStore(),
 	}
 	var acc int32

@@ -9,6 +9,7 @@ import (
 	"pepscale/internal/cluster"
 	"pepscale/internal/digest"
 	"pepscale/internal/fasta"
+	"pepscale/internal/fragidx"
 	"pepscale/internal/score"
 	"pepscale/internal/synth"
 	"pepscale/internal/topk"
@@ -20,6 +21,7 @@ import (
 // Table III candidates/sec rate, here in host wall-clock).
 type scanFixture struct {
 	ix    *digest.Index
+	fx    *fragidx.Index // the block's fragment index, shared by every scan
 	qs    []*score.Query
 	lists []*topk.List
 	sc    score.Scorer
@@ -62,7 +64,7 @@ func newScanFixtureOpt(b testing.TB, scorer string, nDB, nQ int, mutate func(*Op
 	for i := range lists {
 		lists[i] = topk.New(opt.Tau)
 	}
-	f := &scanFixture{ix: ix, qs: qs, lists: lists, sc: sc, opt: opt, idOf: blockIDResolver(db, 0)}
+	f := &scanFixture{ix: ix, fx: fragidx.New(ix, opt.Digest.Mods, opt.Score), qs: qs, lists: lists, sc: sc, opt: opt, idOf: blockIDResolver(db, 0)}
 	// Warm passes: fill the top-τ lists and the persistent sweep state so
 	// timed scans exercise the steady-state path (threshold rejections, warm
 	// caches, no buffer growth). One pass is not enough — re-scanning the
@@ -70,14 +72,14 @@ func newScanFixtureOpt(b testing.TB, scorer string, nDB, nQ int, mutate func(*Op
 	// warm until the accepted-offer count stops falling (it converges within
 	// a handful of scans) or the timed loop would blend fill-up transients
 	// into the rate at small iteration counts.
-	st := f.scan.scan(f.qs, f.lists, f.ix, f.sc, f.opt, f.idOf)
+	st := f.scan.scan(f.qs, f.lists, f.ix, f.fx, f.sc, f.opt, f.idOf)
 	f.cands = st.Candidates
 	if f.cands == 0 {
 		b.Fatal("degenerate scan fixture: zero candidates")
 	}
 	prev := st.Offered
 	for i := 0; i < 16; i++ {
-		w := f.scan.scan(f.qs, f.lists, f.ix, f.sc, f.opt, f.idOf)
+		w := f.scan.scan(f.qs, f.lists, f.ix, f.fx, f.sc, f.opt, f.idOf)
 		if w.Offered >= prev {
 			break
 		}
@@ -101,7 +103,7 @@ func BenchmarkScanKernel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.scan.scan(f.qs, f.lists, f.ix, f.sc, f.opt, f.idOf)
+				f.scan.scan(f.qs, f.lists, f.ix, f.fx, f.sc, f.opt, f.idOf)
 			}
 			b.StopTimer()
 			candPerOp := float64(f.cands)
@@ -125,7 +127,7 @@ func BenchmarkScanKernelBatched(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.scan.scan(f.qs, f.lists, f.ix, f.sc, f.opt, f.idOf)
+				f.scan.scan(f.qs, f.lists, f.ix, f.fx, f.sc, f.opt, f.idOf)
 			}
 			b.StopTimer()
 			candPerOp := float64(f.cands)
@@ -149,7 +151,7 @@ func BenchmarkScanKernelFragIdx(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.scan.scan(f.qs, f.lists, f.ix, f.sc, f.opt, f.idOf)
+				f.scan.scan(f.qs, f.lists, f.ix, f.fx, f.sc, f.opt, f.idOf)
 			}
 			b.StopTimer()
 			candPerOp := float64(f.cands)
@@ -175,7 +177,7 @@ func BenchmarkScanKernelWindowSweep(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					f.scan.scan(f.qs, f.lists, f.ix, f.sc, f.opt, f.idOf)
+					f.scan.scan(f.qs, f.lists, f.ix, f.fx, f.sc, f.opt, f.idOf)
 				}
 				b.StopTimer()
 				candPerOp := float64(f.cands)

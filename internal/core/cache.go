@@ -6,17 +6,21 @@ import (
 
 	"pepscale/internal/digest"
 	"pepscale/internal/fasta"
+	"pepscale/internal/fragidx"
 	"pepscale/internal/sortmz"
 )
 
-// indexCache memoizes per-block derived data within one run. On a real
+// indexCache memoizes per-block derived data for the lifetime of its owner:
+// one run for the batch and elastic engines, the Backend for pepd. On a real
 // cluster every rank parses and digests each transported block itself (and
 // the virtual clock still charges that work per rank); on the simulation
 // host, p ranks rebuilding identical immutable structures would multiply
 // wall-clock time AND resident memory by p for no fidelity gain, so the
-// host builds each block's parse/digest once, keyed by content. All cached
-// values are immutable after construction and therefore safe to share
-// across rank goroutines.
+// host builds each block's parse, digest index and fragment index once,
+// keyed by block. The clock never charged the fragment-index build, so
+// sharing it moves no virtual time. Cached values are immutable after
+// construction, or (the fragment index's lazily built tiers) safe for
+// concurrent use, and therefore safe to share across rank goroutines.
 type indexCache struct {
 	mu sync.Mutex
 	m  map[cacheKey]*cacheEntry
@@ -59,8 +63,10 @@ const (
 	kindSeqs
 	kindCands
 	kindRanges
+	kindFragIdx
+	kindCandIndex
 
-	kindCount = int(kindRanges) + 1
+	kindCount = int(kindCandIndex) + 1
 )
 
 type cacheKey struct {
@@ -155,6 +161,22 @@ func (c *indexCache) indexFor(key cacheKey, recs []fasta.Record, gids []int32, p
 	return b.ix, b.foot, nil
 }
 
+// fragIndexFor returns the fragment index over ix, the digest index cached
+// under key, creating it once per key; its tiers are built on demand by the
+// first rank that walks them. It returns nil when opt does not select the
+// fragment-index scan, so other scan modes cache nothing. A nil cache
+// builds a throwaway index.
+func (c *indexCache) fragIndexFor(key cacheKey, ix *digest.Index, opt Options) *fragidx.Index {
+	if !fragIdxScan(opt) {
+		return nil
+	}
+	key.kind = kindFragIdx
+	v, _ := c.getOrBuild(key, func() (interface{}, error) {
+		return fragidx.New(ix, opt.Digest.Mods, opt.Score), nil
+	})
+	return v.(*fragidx.Index)
+}
+
 // rangesFor memoizes the record-aligned blocks-way partition of the
 // database image. Every rank computes the identical partition, and the scan
 // is O(N); without memoization a p=4096 machine spends a third of its host
@@ -204,4 +226,40 @@ func (c *indexCache) candsFor(key cacheKey, raw []byte) ([]candEntry, error) {
 		return nil, err
 	}
 	return v.([]candEntry), nil
+}
+
+// candIndex is a candidate band's mass index, with its fragment index when
+// the scan mode uses one, plus the band's protein identifiers.
+type candIndex struct {
+	ix      *digest.Index
+	fx      *fragidx.Index
+	idByGID map[int32]string
+}
+
+// candIndexFor indexes a candidate-transport band once per key. The band is
+// already digested: its index is the entries in mass order, with no
+// re-digestion.
+func (c *indexCache) candIndexFor(key cacheKey, block []candEntry, opt Options) (*candIndex, error) {
+	key.kind = kindCandIndex
+	v, err := c.getOrBuild(key, func() (interface{}, error) {
+		peps := make([]digest.Peptide, len(block))
+		idByGID := make(map[int32]string, len(block))
+		for i, e := range block {
+			peps[i] = digest.Peptide{Seq: e.Seq, Protein: e.GID, Mass: e.Mass, Sites: e.Sites}
+			idByGID[e.GID] = e.ID
+		}
+		ix, err := digest.IndexFromPeptides(peps, opt.Digest)
+		if err != nil {
+			return nil, err
+		}
+		ci := &candIndex{ix: ix, idByGID: idByGID}
+		if fragIdxScan(opt) {
+			ci.fx = fragidx.New(ix, opt.Digest.Mods, opt.Score)
+		}
+		return ci, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*candIndex), nil
 }

@@ -238,7 +238,7 @@ func candidateBody(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 	sortSec := r.Time() - tSort
 
 	// C4: fetch and scan only intersecting bands, own band first.
-	indices, candidates, err := candScanPhase(r, l, opt, mine, bandLo, bandHi, routed.Indices)
+	indices, candidates, err := candScanPhase(r, l, opt, mine, len(blockBytes), bandLo, bandHi, routed.Indices)
 	if err != nil {
 		return err
 	}
@@ -294,7 +294,7 @@ func sortCands(cs []candEntry) {
 // whose candidate bands intersect any local query window, and scans those
 // bands with masked prefetching. It returns the reordered query indices
 // and the candidate count.
-func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, bandLo, bandHi []float64, qIdx []int) ([]int, int64, error) {
+func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, ownSize int, bandLo, bandHi []float64, qIdx []int) ([]int, int64, error) {
 	p, id := r.Size(), r.ID()
 	cost := r.Cost()
 
@@ -342,11 +342,12 @@ func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, ban
 
 	var candidates int64
 	var cur []candEntry
+	var curKey cacheKey
 	var curAlloc int64
 	for si, owner := range needed {
 		if si == 0 {
 			if owner == id {
-				cur = own
+				cur, curKey = own, blockKey(id, ownSize)
 			} else {
 				data, err := r.Get(owner, candWindow).Wait()
 				if err != nil {
@@ -354,7 +355,8 @@ func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, ban
 				}
 				r.NoteAlloc(int64(len(data)))
 				curAlloc = int64(len(data))
-				if cur, err = l.cache.candsFor(blockKey(owner, len(data)), data); err != nil {
+				curKey = blockKey(owner, len(data))
+				if cur, err = l.cache.candsFor(curKey, data); err != nil {
 					return nil, 0, err
 				}
 				r.Compute(cost.SortSecPerKey * float64(len(cur)))
@@ -365,7 +367,7 @@ func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, ban
 			pending = r.Get(needed[si+1], candWindow)
 		}
 
-		c, err := scanCandBlock(r, l, opt, cur, bandLo[owner], bandHi[owner])
+		c, err := scanCandBlock(r, l, opt, cur, curKey, bandLo[owner], bandHi[owner])
 		if err != nil {
 			return nil, 0, err
 		}
@@ -384,7 +386,8 @@ func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, ban
 				r.NoteFree(curAlloc)
 			}
 			curAlloc = int64(len(data))
-			if cur, err = l.cache.candsFor(blockKey(needed[si+1], len(data)), data); err != nil {
+			curKey = blockKey(needed[si+1], len(data))
+			if cur, err = l.cache.candsFor(curKey, data); err != nil {
 				return nil, 0, err
 			}
 			r.Compute(cost.SortSecPerKey * float64(len(cur)))
@@ -399,8 +402,9 @@ func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, ban
 // scanCandBlock scores the subset of local queries whose windows intersect
 // the block's mass band against the block's candidates. There is no
 // digestion: the block IS the candidate list (the engine's computational
-// saving).
-func scanCandBlock(r *cluster.Rank, l *loaded, opt Options, block []candEntry, bandLo, bandHi float64) (int64, error) {
+// saving). key is the band's cache identity: its mass index and fragment
+// index are built once per run, whichever rank scans the band first.
+func scanCandBlock(r *cluster.Rank, l *loaded, opt Options, block []candEntry, key cacheKey, bandLo, bandHi float64) (int64, error) {
 	cost := r.Cost()
 	// Queries possibly served by this band.
 	qFrom := sort.Search(len(l.qs), func(i int) bool {
@@ -414,18 +418,12 @@ func scanCandBlock(r *cluster.Rank, l *loaded, opt Options, block []candEntry, b
 	if qFrom >= qTo {
 		return 0, nil
 	}
-	peps := make([]digest.Peptide, len(block))
-	idByGID := make(map[int32]string, len(block))
-	for i, e := range block {
-		peps[i] = digest.Peptide{Seq: e.Seq, Protein: e.GID, Mass: e.Mass, Sites: e.Sites}
-		idByGID[e.GID] = e.ID
-	}
-	ix, err := digest.IndexFromPeptides(peps, opt.Digest)
+	ci, err := l.cache.candIndexFor(key, block, opt)
 	if err != nil {
 		return 0, err
 	}
-	st := l.scan.scan(l.qs[qFrom:qTo], l.lists[qFrom:qTo], ix, l.sc, opt, func(g int32) string {
-		if s, ok := idByGID[g]; ok {
+	st := l.scan.scan(l.qs[qFrom:qTo], l.lists[qFrom:qTo], ci.ix, ci.fx, l.sc, opt, func(g int32) string {
+		if s, ok := ci.idByGID[g]; ok {
 			return s
 		}
 		return fmt.Sprintf("protein_%d", g)

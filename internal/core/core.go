@@ -268,12 +268,14 @@ const prefilterCostFraction = 0.15
 //
 // The kernel is selected by Options.ScanMode — the peptide-major sweep by
 // default (see scanState.scan); this wrapper runs it with throwaway sweep
-// state. Engine loops that scan repeatedly hold a persistent scanState
-// instead, which keeps the sweep allocation-free and preserves the per-query
-// scoring caches (and any cached fragment index) across blocks.
+// state and, for the fragment-index kernel, a throwaway fragment index.
+// Engine loops that scan repeatedly hold a persistent scanState instead,
+// which keeps the sweep allocation-free and preserves the per-query scoring
+// caches across blocks, and take each block's fragment index from the index
+// cache.
 func scanIndex(qs []*score.Query, lists []*topk.List, ix *digest.Index, sc score.Scorer, opt Options, idOf func(int32) string) scanStats {
 	var ss scanState
-	return ss.scan(qs, lists, ix, sc, opt, idOf)
+	return ss.scan(qs, lists, ix, nil, sc, opt, idOf)
 }
 
 // scanIndexQueryMajor is the historical query-major scan: for each query in

@@ -91,6 +91,12 @@ type elasticSchedule struct {
 // describe the successful attempt (RunSec accumulating failed attempts'
 // virtual time); Recovery details every attempt and the checkpoint traffic.
 func RunElastic(cfg cluster.Config, in Input, opt Options, eopt ElasticOptions) (*Result, *Recovery, error) {
+	return runElastic(cfg, in, opt, eopt, newIndexCache())
+}
+
+// runElastic is RunElastic with the caller's index cache, which every
+// attempt's ranks share.
+func runElastic(cfg cluster.Config, in Input, opt Options, eopt ElasticOptions, cache *indexCache) (*Result, *Recovery, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -114,7 +120,7 @@ func RunElastic(cfg cluster.Config, in Input, opt Options, eopt ElasticOptions) 
 		maxAttempts = mp.Universe
 	}
 	store := ckpt.NewStore()
-	pt := newPartition(in.DBData, p0)
+	pt := newPartition(in.DBData, p0, cache)
 	rec := &Recovery{}
 	dead := make(map[int]bool)
 	var timeBase float64
@@ -480,12 +486,18 @@ func elasticApply(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, s
 	}
 	// Old and new members synchronize on their union: every migration
 	// source stays responsive until every fetch of this boundary is done,
-	// and no joiner can race ahead of the membership it joined.
+	// and no joiner can race ahead of the membership it joined. A leaver
+	// announces its departure before the barrier, so a later boundary's
+	// Admit of it, which can only follow the barrier, waits for the Depart.
+	leaving := !next.IsMember(id)
+	if leaving {
+		r.AnnounceDeparture()
+	}
 	union := unionSorted(st.plan.Members, newMembers)
 	r.Group(union).Barrier()
 	st.plan = next
 	r.SetPhase("scan")
-	if !st.plan.IsMember(id) {
+	if leaving {
 		r.Depart()
 		return true, nil
 	}

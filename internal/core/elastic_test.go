@@ -350,3 +350,39 @@ func TestElasticChaos(t *testing.T) {
 		})
 	}
 }
+
+// TestElasticAdmitAfterDepart: a leaver departs after the boundary's union
+// barrier, so the host may schedule a later boundary's Admit of the same
+// rank before the leaver's Depart has landed. Admit must wait for the
+// announced departure instead of failing with "already active"; every run
+// must succeed with the static run's hits.
+func TestElasticAdmitAfterDepart(t *testing.T) {
+	in := testInput(t, 60, 12)
+	opt := testOptions()
+	opt.ScanMode = ScanModeQueryMajor
+	golden, err := Run(AlgoA, clusterCfg(4), in, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := golden.Metrics.RunSec
+	mp := &cluster.MembershipPlan{Universe: 5, Initial: 4, Events: []cluster.MemberEvent{
+		{TimeSec: 0.1 * h, Leave: []int{2}},
+		{TimeSec: 0.4 * h, Join: []int{2}},
+	}}
+	const runs = 200
+	failures := 0
+	for i := 0; i < runs; i++ {
+		res, _, err := RunElastic(elasticCfg(), in, opt, ElasticOptions{Membership: mp})
+		if err != nil {
+			if failures == 0 {
+				t.Errorf("run %d: %v", i, err)
+			}
+			failures++
+			continue
+		}
+		queriesEqual(t, "admit-after-depart", golden.Queries, res.Queries)
+	}
+	if failures > 0 {
+		t.Errorf("%d of %d runs failed", failures, runs)
+	}
+}

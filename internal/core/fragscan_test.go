@@ -173,7 +173,7 @@ func TestFragIdxLibraryFallback(t *testing.T) {
 	fragOpt := opt
 	fragOpt.ScanMode = ScanModeFragIdx
 	var ss scanState
-	fragSt := ss.scan(qs, fragLists, ix, sc2, fragOpt, idOf)
+	fragSt := ss.scan(qs, fragLists, ix, nil, sc2, fragOpt, idOf)
 	if refSt != fragSt {
 		t.Errorf("library fallback stats differ: %+v vs %+v", refSt, fragSt)
 	}

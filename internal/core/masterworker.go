@@ -178,6 +178,7 @@ func mwWorker(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 	loadSec := r.Time() - t0
 	r.SetPhase("scan")
 	idOf := blockIDResolver(recs, 0)
+	fx := sh.cache.fragIndexFor(fullDBKey(in), ix, opt)
 
 	var candidates int64
 	var processed int
@@ -199,7 +200,7 @@ func mwWorker(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 		for i := range lists {
 			lists[i] = topk.New(opt.Tau)
 		}
-		st := scan.scan(qs, lists, ix, sc, opt, idOf)
+		st := scan.scan(qs, lists, ix, fx, sc, opt, idOf)
 		r.Compute(scanComputeSec(cost, sc, st))
 		candidates += st.Candidates
 		processed += len(qs)

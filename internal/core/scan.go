@@ -82,11 +82,9 @@ type scanState struct {
 	quickBins  []int32
 	quickFrags []spectrum.Fragment
 
-	// Fragment-index state (ScanModeFragIdx): the inverted index of the
-	// resident block, cached by digest.Index identity so rescans of the
-	// same block reuse it, plus the walk accumulators.
-	fidx     *fragidx.Index
-	fidxFor  *digest.Index
+	// Fragment-index walk state (ScanModeFragIdx): the rank's accumulators
+	// and row cursors and the sweep tile. The index itself is the caller's,
+	// shared by every rank scanning the block (see indexCache.fragIndexFor).
 	fscr     fragidx.Scratch
 	passTile []fragidx.PassQuery
 }
@@ -113,19 +111,29 @@ func (ss *scanState) addActive(charge int, qi int32) {
 // scan dispatches one block scan to the kernel selected by Options.ScanMode.
 // All kernels are bit-identical in hits, Offer order, and stats; the virtual
 // clock charges the same scan cost regardless of the host-side path (see
-// scanComputeSec), so traces are byte-identical across modes too.
-func (ss *scanState) scan(qs []*score.Query, lists []*topk.List, ix *digest.Index, sc score.Scorer, opt Options, idOf func(int32) string) scanStats {
+// scanComputeSec), so traces are byte-identical across modes too. fx is the
+// block's fragment index for the fragment-index kernel; nil builds a
+// throwaway one, and the other kernels ignore it.
+func (ss *scanState) scan(qs []*score.Query, lists []*topk.List, ix *digest.Index, fx *fragidx.Index, sc score.Scorer, opt Options, idOf func(int32) string) scanStats {
 	switch {
 	case opt.ScanMode == ScanModeQueryMajor:
 		return scanIndexQueryMajor(qs, lists, ix, sc, opt, idOf)
-	case opt.ScanMode == ScanModeFragIdx && opt.Score.Library == nil:
-		// A spectral library changes candidates' fragment structure per
-		// lookup, which the index (built from the generator) cannot mirror;
-		// library-backed runs fall through to the peptide-major sweep.
-		return ss.scanFragIdx(qs, lists, ix, sc, opt, idOf)
+	case fragIdxScan(opt):
+		if fx == nil {
+			fx = fragidx.New(ix, opt.Digest.Mods, opt.Score)
+		}
+		return ss.scanFragIdx(qs, lists, ix, fx, sc, opt, idOf)
 	default:
 		return ss.scanPeptideMajor(qs, lists, ix, sc, opt, idOf)
 	}
+}
+
+// fragIdxScan reports whether opt selects the fragment-index kernel. A
+// spectral library changes candidates' fragment structure per lookup, which
+// the index (built from the generator) cannot mirror; library-backed runs
+// fall through to the peptide-major sweep.
+func fragIdxScan(opt Options) bool {
+	return opt.ScanMode == ScanModeFragIdx && opt.Score.Library == nil
 }
 
 // bindQueries binds per-query batch state, keeping each query's caches when

@@ -8,6 +8,7 @@ import (
 
 	"pepscale/internal/chem"
 	"pepscale/internal/digest"
+	"pepscale/internal/fragidx"
 	"pepscale/internal/score"
 	"pepscale/internal/synth"
 	"pepscale/internal/topk"
@@ -84,6 +85,9 @@ func TestScanPeptideMajorMatchesQueryMajor(t *testing.T) {
 				}
 				qs := prepareQueries(nil, synth.Spectra(truths), opt.Score)
 				idOf := blockIDResolver(db, 0)
+				// One fragment index serves every scorer's fragidx scans, as
+				// the run's index cache does for every rank.
+				fx := fragidx.New(ix, opt.Digest.Mods, opt.Score)
 
 				for _, scorer := range []string{"likelihood", "hyper", "sharedpeaks", "xcorr"} {
 					opt := opt
@@ -110,14 +114,14 @@ func TestScanPeptideMajorMatchesQueryMajor(t *testing.T) {
 					}
 					refSt := scanIndexQueryMajor(qs, refLists, ix, refSc, opt, idOf)
 					var ss scanState
-					batSt := ss.scan(qs, batLists, ix, batSc, opt, idOf)
+					batSt := ss.scan(qs, batLists, ix, nil, batSc, opt, idOf)
 					if refSt != batSt {
 						t.Errorf("%s: scanStats differ: query-major %+v, peptide-major %+v", scorer, refSt, batSt)
 					}
 					fragOpt := opt
 					fragOpt.ScanMode = ScanModeFragIdx
 					var fss scanState
-					fragSt := fss.scan(qs, fragLists, ix, fragSc, fragOpt, idOf)
+					fragSt := fss.scan(qs, fragLists, ix, fx, fragSc, fragOpt, idOf)
 					if refSt != fragSt {
 						t.Errorf("%s: scanStats differ: query-major %+v, fragidx %+v", scorer, refSt, fragSt)
 					}
@@ -140,11 +144,11 @@ func TestScanPeptideMajorMatchesQueryMajor(t *testing.T) {
 						reLists[i] = topk.New(opt.Tau)
 						fragReLists[i] = topk.New(opt.Tau)
 					}
-					reSt := ss.scan(qs, reLists, ix, batSc, opt, idOf)
+					reSt := ss.scan(qs, reLists, ix, nil, batSc, opt, idOf)
 					if reSt != batSt {
 						t.Errorf("%s: warmed rescan stats differ: first %+v, rescan %+v", scorer, batSt, reSt)
 					}
-					fragReSt := fss.scan(qs, fragReLists, ix, fragSc, fragOpt, idOf)
+					fragReSt := fss.scan(qs, fragReLists, ix, fx, fragSc, fragOpt, idOf)
 					if fragReSt != fragSt {
 						t.Errorf("%s: warmed fragidx rescan stats differ: first %+v, rescan %+v", scorer, fragSt, fragReSt)
 					}

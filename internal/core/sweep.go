@@ -24,16 +24,16 @@ import (
 )
 
 // partition is the stable p0-way block partition of a database, with the
-// index cache every rank parses blocks through. It is immutable once built
-// and shared by all ranks.
+// index cache every rank parses, digests and fragment-indexes blocks
+// through. It is immutable once built and shared by all ranks.
 type partition struct {
 	db     []byte
 	ranges []fasta.Range
 	cache  *indexCache
 }
 
-func newPartition(db []byte, p0 int) *partition {
-	return &partition{db: db, ranges: fasta.Ranges(db, p0), cache: newIndexCache()}
+func newPartition(db []byte, p0 int, cache *indexCache) *partition {
+	return &partition{db: db, ranges: fasta.Ranges(db, p0), cache: cache}
 }
 
 // raw returns block b's FASTA bytes.

@@ -36,6 +36,9 @@
 package fragidx
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"pepscale/internal/chem"
 	"pepscale/internal/digest"
 	"pepscale/internal/score"
@@ -229,8 +232,10 @@ func (t *Tier) WindowPostings(bin int32, start, end int) ([]int32, []Meta) {
 
 // Index owns the lazily built tiers of one block. It is constructed from a
 // digest.Index in mass order, so ordinals equal digest positions; tiers are
-// keyed by (fragment-charge cap, kind) and built on first demand. An Index
-// belongs to one rank's scan and is not safe for concurrent use.
+// keyed by (fragment-charge cap, kind) and built on first demand. An Index is
+// safe for concurrent use, so every rank scanning a block can share one:
+// each tier is built exactly once, by its first requester, and a reader of a
+// built tier neither blocks nor allocates.
 type Index struct {
 	src  *digest.Index
 	mods []chem.Mod
@@ -239,8 +244,37 @@ type Index struct {
 	lens   []int32 // peptide length per ordinal, shared by every tier
 	maxLen int32   // largest peptide length of the block
 
-	match  []*Tier // by maxZ; nil = not yet built
-	passes []*Tier // by maxZ; nil = not yet built or unsupported
+	// tiers is the published snapshot of the built tiers, read lock-free.
+	// Builders hold mu and replace the snapshot with a copy that adds their
+	// tier, so a snapshot never changes once published.
+	tiers atomic.Pointer[tierTable]
+	mu    sync.Mutex
+}
+
+// tierTable holds the built tiers by kind and fragment-charge cap; a nil
+// entry is not built yet.
+type tierTable [2][]*Tier
+
+// get returns the (maxZ, kind) tier of the snapshot, nil if not built.
+func (tt *tierTable) get(maxZ int, kind Kind) *Tier {
+	if tt == nil || maxZ >= len(tt[kind]) {
+		return nil
+	}
+	return tt[kind][maxZ]
+}
+
+// built counts, process-wide, the indexes New has prepared and the tiers
+// built under them (see Builds).
+var built struct {
+	indexes, tiers atomic.Int64
+}
+
+// Builds returns how many indexes New has prepared and how many tiers have
+// been built in this process. They are exact work counters: a caller that
+// diffs them around a run can tell an index or tier built once per block
+// from one rebuilt per visit, where timings are too noisy to.
+func Builds() (indexes, tiers int64) {
+	return built.indexes.Load(), built.tiers.Load()
 }
 
 // New prepares an index over the block; tiers are built on first Tier call.
@@ -254,39 +288,67 @@ func New(src *digest.Index, mods []chem.Mod, cfg score.Config) *Index {
 			x.maxLen = x.lens[i]
 		}
 	}
+	built.indexes.Add(1)
 	return x
 }
 
 // Len returns the candidate count of the block.
 func (x *Index) Len() int { return len(x.lens) }
 
-// Tier returns the (maxZ, kind) tier, building and caching it on first use.
-// For KindPasses it returns nil when the block cannot carry pass postings
+// Tier returns the (maxZ, kind) tier, building it on first use. For
+// KindPasses it returns nil when the block cannot carry pass postings
 // (fragment slot or charge beyond the packable range) — callers fall back
 // to full scoring; KindMatch is always available.
 func (x *Index) Tier(maxZ int, kind Kind) *Tier {
 	if maxZ < 1 {
 		maxZ = 1
 	}
-	if kind == KindPasses {
-		if maxZ > maxPassCharge || x.maxSlots(maxZ) > maxSlot+1 || x.Len() > maxPackOrd {
-			return nil
-		}
-		for len(x.passes) <= maxZ {
-			x.passes = append(x.passes, nil)
-		}
-		if x.passes[maxZ] == nil {
-			x.passes[maxZ] = x.buildTier(maxZ, KindPasses)
-		}
-		return x.passes[maxZ]
+	if kind == KindPasses && (maxZ > maxPassCharge || x.maxSlots(maxZ) > maxSlot+1 || x.Len() > maxPackOrd) {
+		return nil
 	}
-	for len(x.match) <= maxZ {
-		x.match = append(x.match, nil)
+	if t := x.tiers.Load().get(maxZ, kind); t != nil {
+		return t
 	}
-	if x.match[maxZ] == nil {
-		x.match[maxZ] = x.buildTier(maxZ, KindMatch)
+	return x.build(maxZ, kind)
+}
+
+// build is Tier's slow path: under mu it re-checks the snapshot, builds the
+// tier if it is still missing, and publishes a snapshot that includes it.
+// Concurrent first requests for a tier wait here for the one build.
+func (x *Index) build(maxZ int, kind Kind) *Tier {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	old := x.tiers.Load()
+	if t := old.get(maxZ, kind); t != nil {
+		return t
 	}
-	return x.match[maxZ]
+	t := x.buildTier(maxZ, kind)
+	built.tiers.Add(1)
+	var next tierTable
+	if old != nil {
+		next = *old
+	}
+	row := make([]*Tier, max(len(next[kind]), maxZ+1))
+	copy(row, next[kind])
+	row[maxZ] = t
+	next[kind] = row
+	x.tiers.Store(&next)
+	return t
+}
+
+// BuiltTiers returns how many tiers of the index have been built.
+func (x *Index) BuiltTiers() int {
+	n := 0
+	if tt := x.tiers.Load(); tt != nil {
+		for _, row := range tt {
+			for _, t := range row {
+				if t != nil {
+					n++
+				}
+			}
+		}
+	}
+	return n
 }
 
 // maxSlots returns the largest per-pass fragment-slot count of the block at

@@ -39,9 +39,11 @@ type Scratch struct {
 	// prefilter walk can coexist with a higher-charge scoring walk.
 	qn []int32
 
-	// Per-tier row cursors (see cursorFor), reset lazily per scan.
+	// Per-tier row cursors (see cursorFor), reset lazily per scan, over the
+	// tiers of idx, the index of the latest Begin.
 	scan    uint64
 	cursors []tierCursor
+	idx     *Index
 
 	// Bin-major passes-sweep state (see sweep.go).
 	sweep sweep
@@ -85,14 +87,20 @@ func (s *Scratch) Reset(n int) {
 	s.scan++
 }
 
-// DropCursors forgets every per-tier cursor. Callers invoke it when the
-// walked tiers are replaced (a new block's index), so stale tier pointers
-// are not retained.
-func (s *Scratch) DropCursors() {
-	for i := range s.cursors {
-		s.cursors[i] = tierCursor{}
+// Begin starts a scan over x's block: it sizes the accumulators (Reset) and,
+// when x is not the index of the previous scan, drops the row cursors of the
+// old block's tiers, so a rank walking block after block keeps cursors only
+// for the block at hand. The Index itself is shared; only these cursors are
+// the rank's.
+func (s *Scratch) Begin(x *Index) {
+	if s.idx != x {
+		for i := range s.cursors {
+			s.cursors[i] = tierCursor{}
+		}
+		s.cursors = s.cursors[:0]
+		s.idx = x
 	}
-	s.cursors = s.cursors[:0]
+	s.Reset(x.Len())
 }
 
 // cursorFor returns tier t's row cursors for the current scan, zeroing them
